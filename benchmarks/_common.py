@@ -10,8 +10,9 @@ exercises everything.
 The shared trial kernel (:func:`repro.sim.runner.run_attack`) and the
 benchmark scenario (:data:`repro.campaign.experiments.BENCH_CONFIG`)
 live in the library so campaign worker processes can import them; this
-module re-exports them for the benchmark scripts.  Campaign-migrated
-experiments (exp03/exp04/exp07/ext04) run through
+module re-exports them for the benchmark scripts.  Campaign-backed
+experiments (exp03/exp04/exp07/ext04) resolve their built-in spec
+by name, read its axes back with :func:`grid_axis`, and run through
 :func:`repro.campaign.run_campaign` — ``bench_executor`` picks the
 process-pool executor unless ``REPRO_BENCH_SERIAL=1``.
 """
@@ -23,26 +24,34 @@ import os
 import pathlib
 
 from repro.analysis.aggregate import mean_ci
-from repro.attack.attacker import CsaAttacker, PlannedAttacker
 from repro.campaign.executor import ParallelExecutor, SerialExecutor
 from repro.campaign.experiments import BENCH_CONFIG
-from repro.core.windows import StealthPolicy
 from repro.sim.runner import run_attack
 
 __all__ = [
     "BENCH_CONFIG",
+    "CONTROLLER_LABELS",
     "RESULTS_DIR",
     "bench_executor",
-    "csa_attacker_factory",
     "emit",
     "emit_json",
+    "grid_axis",
     "mean_ratio",
-    "planner_attacker_factory",
     "run_attack",
     "series_sidecar",
 ]
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+
+#: Table labels for catalogue controller names (the paper's names).
+CONTROLLER_LABELS = {
+    "csa": "CSA",
+    "csa-no-windows": "CSA-no-windows",
+    "blatant": "Blatant",
+    "greedy-weight": "Greedy-Weight",
+    "nearest-first": "Nearest-First",
+    "random": "Random",
+}
 
 
 def emit(name: str, text: str) -> None:
@@ -80,22 +89,9 @@ def bench_executor():
     return ParallelExecutor()
 
 
-def csa_attacker_factory(key_count: int, stealth: StealthPolicy | None = None):
-    """Factory for fresh CSA attackers (controllers are single-use)."""
-
-    def make():
-        return CsaAttacker(key_count=key_count, stealth=stealth)
-
-    return make
-
-
-def planner_attacker_factory(planner_factory, key_count: int):
-    """Factory for baseline attackers wrapping a TIDE planner."""
-
-    def make():
-        return PlannedAttacker(planner=planner_factory(), key_count=key_count)
-
-    return make
+def grid_axis(spec, name: str) -> list:
+    """One axis of a campaign grid: its distinct values, in grid order."""
+    return list(dict.fromkeys(point[name] for point in spec.grid))
 
 
 def mean_ratio(values) -> str:

@@ -5,36 +5,41 @@ key nodes", across network sizes, against the planning baselines.  All
 attackers share the same stealth envelope and cover-traffic behaviour;
 only the TIDE planner differs, so the gap is pure planning quality.
 
-Runs as a campaign (``repro.campaign.experiments:exp03_spec``): the grid
-executes through the crash-isolated executor and the printed table is
-reassembled from per-trial metrics in the original sweep order.
+Runs as the built-in ``exp03`` campaign (a ``csa-baseline`` scenario
+grid): the grid executes through the crash-isolated executor and the
+printed table is reassembled from per-trial metrics in the original
+sweep order.
 """
 
-from _common import bench_executor, emit, emit_json, mean_ratio, series_sidecar
+from _common import (
+    BENCH_CONFIG,
+    CONTROLLER_LABELS,
+    bench_executor,
+    emit,
+    emit_json,
+    grid_axis,
+    mean_ratio,
+    series_sidecar,
+)
 
 from repro.analysis.tables import series_table
 from repro.campaign import run_campaign
-from repro.campaign.experiments import (
-    BENCH_CONFIG,
-    EXP03_ATTACKERS,
-    EXP03_NODE_COUNTS,
-    EXP03_SEEDS,
-    exp03_spec,
-)
+from repro.campaign.experiments import resolve_spec
 
-NODE_COUNTS = EXP03_NODE_COUNTS
-SEEDS = EXP03_SEEDS
-ATTACKERS = EXP03_ATTACKERS
+SPEC = resolve_spec("exp03")
+NODE_COUNTS = grid_axis(SPEC, "node_count")
+SEEDS = grid_axis(SPEC, "seed")
+CONTROLLERS = grid_axis(SPEC, "controller")
 
 
 def run_experiment():
-    result = run_campaign(exp03_spec(), executor=bench_executor())
+    result = run_campaign(SPEC, executor=bench_executor())
     return {
-        name: [
-            result.values("exhausted_key_ratio", node_count=n, attacker=name)
+        CONTROLLER_LABELS[name]: [
+            result.values("exhausted_key_ratio", node_count=n, controller=name)
             for n in NODE_COUNTS
         ]
-        for name in ATTACKERS
+        for name in CONTROLLERS
     }
 
 
@@ -46,7 +51,7 @@ def bench_exp03_exhaust_vs_n(benchmark):
     }
     table = series_table(
         "nodes",
-        list(NODE_COUNTS),
+        NODE_COUNTS,
         formatted,
         title=(
             "EXP-03: exhausted key-node ratio vs network size "
@@ -63,8 +68,8 @@ def bench_exp03_exhaust_vs_n(benchmark):
     # baseline on average.
     csa_means = [sum(c) / len(c) for c in series["CSA"]]
     assert all(m >= 0.8 for m in csa_means)
-    for name in ATTACKERS:
+    for name, cells in series.items():
         if name == "CSA":
             continue
-        other_means = [sum(c) / len(c) for c in series[name]]
+        other_means = [sum(c) / len(c) for c in cells]
         assert sum(csa_means) >= sum(other_means) - 1e-9

@@ -5,42 +5,43 @@ spread the same charger budget and crowd the stealth windows, so the
 exhausted *ratio* degrades gracefully while the absolute kill count
 rises; CSA stays ahead of the window-blind greedy throughout.
 
-Runs as a campaign (``repro.campaign.experiments:exp04_spec``); the
-printed table is reassembled from per-trial metrics in the original
-sweep order.
+Runs as the built-in ``exp04`` campaign (a ``csa-baseline`` scenario
+grid); the printed table is reassembled from per-trial metrics in the
+original sweep order.
 """
 
-from _common import bench_executor, emit, emit_json, mean_ratio, series_sidecar
+from _common import (
+    bench_executor,
+    emit,
+    emit_json,
+    grid_axis,
+    mean_ratio,
+    series_sidecar,
+)
 
 from repro.analysis.tables import series_table
 from repro.campaign import run_campaign
-from repro.campaign.experiments import (
-    EXP04_KEY_COUNTS,
-    EXP04_SEEDS,
-    exp04_spec,
-)
+from repro.campaign.experiments import resolve_spec
 
-KEY_COUNTS = EXP04_KEY_COUNTS
-SEEDS = EXP04_SEEDS
+SPEC = resolve_spec("exp04")
+KEY_COUNTS = grid_axis(SPEC, "key_count")
+SEEDS = grid_axis(SPEC, "seed")
 
 
 def run_experiment():
-    result = run_campaign(exp04_spec(), executor=bench_executor())
-    csa_cells = [
-        result.values("exhausted_key_ratio", key_count=k, attacker="CSA")
-        for k in KEY_COUNTS
-    ]
-    greedy_cells = [
-        result.values(
-            "exhausted_key_ratio", key_count=k, attacker="Greedy-Weight"
-        )
-        for k in KEY_COUNTS
-    ]
-    kill_cells = [
-        result.values("exhausted_key_count", key_count=k, attacker="CSA")
-        for k in KEY_COUNTS
-    ]
-    return csa_cells, greedy_cells, kill_cells
+    result = run_campaign(SPEC, executor=bench_executor())
+
+    def cells(metric, controller):
+        return [
+            result.values(metric, key_count=k, controller=controller)
+            for k in KEY_COUNTS
+        ]
+
+    return (
+        cells("exhausted_key_ratio", "csa"),
+        cells("exhausted_key_ratio", "greedy-weight"),
+        cells("exhausted_key_count", "csa"),
+    )
 
 
 def bench_exp04_exhaust_vs_keys(benchmark):
@@ -49,7 +50,7 @@ def bench_exp04_exhaust_vs_keys(benchmark):
     )
     table = series_table(
         "key_nodes",
-        list(KEY_COUNTS),
+        KEY_COUNTS,
         {
             "CSA_ratio": [mean_ratio(c) for c in csa_cells],
             "Greedy_ratio": [mean_ratio(c) for c in greedy_cells],

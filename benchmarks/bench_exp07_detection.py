@@ -7,46 +7,44 @@ with the stealth windows stripped, and the blatant pretender.  The
 paper-shaped result: CSA's curve hugs zero while both ablations are
 caught at every realistic audit intensity.
 
-Runs as a campaign (``repro.campaign.experiments:exp07_spec``); the
-printed table is reassembled from per-trial metrics in the original
-sweep order.
+Runs as the built-in ``exp07`` campaign (a ``csa-baseline`` scenario
+grid over ``audit_interval_s``); the printed table is reassembled from
+per-trial metrics in the original sweep order.
 """
 
-from _common import bench_executor, emit, emit_json, series_sidecar
+from _common import (
+    CONTROLLER_LABELS,
+    bench_executor,
+    emit,
+    emit_json,
+    grid_axis,
+    series_sidecar,
+)
 
 from repro.analysis.tables import series_table
 from repro.campaign import run_campaign
-from repro.campaign.experiments import (
-    EXP07_ATTACKERS,
-    EXP07_AUDIT_INTERVALS_H,
-    EXP07_SEEDS,
-    exp07_spec,
-)
+from repro.campaign.experiments import resolve_spec
 
-AUDIT_INTERVALS_H = EXP07_AUDIT_INTERVALS_H
-SEEDS = EXP07_SEEDS
-ATTACKERS = EXP07_ATTACKERS
+SPEC = resolve_spec("exp07")
+AUDIT_INTERVALS_S = grid_axis(SPEC, "audit_interval_s")
+AUDIT_INTERVALS_H = [s / 3600.0 for s in AUDIT_INTERVALS_S]
+SEEDS = grid_axis(SPEC, "seed")
+CONTROLLERS = grid_axis(SPEC, "controller")
 
 
 def run_experiment():
-    result = run_campaign(exp07_spec(), executor=bench_executor())
-    detect_cells = {
-        name: [
-            result.values("detected", audit_interval_h=h, attacker=name)
-            for h in AUDIT_INTERVALS_H
-        ]
-        for name in ATTACKERS
-    }
-    exhaust_cells = {
-        name: [
-            result.values(
-                "exhausted_key_ratio", audit_interval_h=h, attacker=name
-            )
-            for h in AUDIT_INTERVALS_H
-        ]
-        for name in ATTACKERS
-    }
-    return detect_cells, exhaust_cells
+    result = run_campaign(SPEC, executor=bench_executor())
+
+    def cells(metric):
+        return {
+            CONTROLLER_LABELS[name]: [
+                result.values(metric, audit_interval_s=s, controller=name)
+                for s in AUDIT_INTERVALS_S
+            ]
+            for name in CONTROLLERS
+        }
+
+    return cells("detected"), cells("exhausted_key_ratio")
 
 
 def bench_exp07_detection(benchmark):
@@ -60,7 +58,7 @@ def bench_exp07_detection(benchmark):
     }
     table = series_table(
         "audit_interval_h",
-        list(AUDIT_INTERVALS_H),
+        AUDIT_INTERVALS_H,
         {
             **{f"det[{k}]": [f"{v:.2f}" for v in vs] for k, vs in rates.items()},
             "exh[CSA]": [f"{v:.2f}" for v in exhaustion["CSA"]],

@@ -9,37 +9,34 @@ the stealth window opens.  Even so, while it camps at one victim the
 honest fleet rescues others: fleet redundancy passively blunts the
 attack with no detector involved.
 
-Runs as a campaign (``repro.campaign.experiments:ext04_spec``); the
-printed table is reassembled from per-trial metrics in the original
-sweep order.
+Runs as the built-in ``ext04`` campaign (a ``csa-baseline`` scenario
+grid over ``honest_chargers``); the printed table is reassembled from
+per-trial metrics in the original sweep order.
 """
 
-from _common import bench_executor, emit, emit_json, series_sidecar
+from _common import bench_executor, emit, emit_json, grid_axis, series_sidecar
 
 from repro.analysis.tables import series_table
 from repro.campaign import run_campaign
-from repro.campaign.experiments import (
-    EXT04_HONEST_COUNTS,
-    EXT04_SEEDS,
-    ext04_spec,
-)
+from repro.campaign.experiments import resolve_spec
 
-HONEST_COUNTS = EXT04_HONEST_COUNTS
-SEEDS = EXT04_SEEDS
+SPEC = resolve_spec("ext04")
+HONEST_COUNTS = grid_axis(SPEC, "honest_chargers")
+SEEDS = grid_axis(SPEC, "seed")
 
 
 def run_experiment():
-    result = run_campaign(ext04_spec(), executor=bench_executor())
+    result = run_campaign(SPEC, executor=bench_executor())
     exhaust_cells = [
-        result.values("exhausted_key_ratio", honest_count=h)
+        result.values("exhausted_key_ratio", honest_chargers=h)
         for h in HONEST_COUNTS
     ]
     detect_cells = [
-        [float(v) for v in result.values("detected", honest_count=h)]
+        [float(v) for v in result.values("detected", honest_chargers=h)]
         for h in HONEST_COUNTS
     ]
     spoof_cells = [
-        result.values("spoof_services", honest_count=h) for h in HONEST_COUNTS
+        result.values("spoof_services", honest_chargers=h) for h in HONEST_COUNTS
     ]
     return exhaust_cells, detect_cells, spoof_cells
 
@@ -51,7 +48,7 @@ def bench_ext04_fleet(benchmark):
     avg = lambda c: sum(c) / len(c)
     table = series_table(
         "honest_co_chargers",
-        list(HONEST_COUNTS),
+        HONEST_COUNTS,
         {
             "exhausted_ratio": [f"{avg(c):.2f}" for c in exhaust_cells],
             "detection_rate": [f"{avg(c):.2f}" for c in detect_cells],

@@ -1,252 +1,82 @@
 """Built-in campaign definitions for the paper's benchmark experiments.
 
-Each migrated experiment contributes a *trial kernel* (a pure function
-from one params dict to a dict of JSON-able metrics, importable by
-worker processes) and a spec builder expanding the experiment's
-seed × parameter grid.  The benchmark scripts under ``benchmarks/``
-rebuild their printed tables from these campaigns' results, and the
-``python -m repro campaign`` CLI runs them standalone.
+Every built-in campaign is a grid over the one scenario kernel,
+``repro.scenarios.trials:scenario_trial``: each grid point names a
+registry scenario and a seed, plus whichever controller, defence or
+config fields the experiment sweeps.  The benchmark scripts under
+``benchmarks/`` resolve these specs by name, read their axes back from
+the grid, and rebuild their printed tables from the campaigns' results;
+the ``python -m repro campaign`` CLI runs them standalone.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping
+from typing import Any, Callable
 
 from repro.sim.scenario import ScenarioConfig
 
-__all__ = [
-    "BENCH_CONFIG",
-    "BUILTIN_CAMPAIGNS",
-    "EXP03_ATTACKERS",
-    "EXP03_NODE_COUNTS",
-    "EXP03_SEEDS",
-    "EXP04_ATTACKERS",
-    "EXP04_KEY_COUNTS",
-    "EXP04_SEEDS",
-    "EXP07_ATTACKERS",
-    "EXP07_AUDIT_INTERVALS_H",
-    "EXP07_SEEDS",
-    "EXT04_HONEST_COUNTS",
-    "EXT04_SEEDS",
-    "exp03_spec",
-    "exp03_trial",
-    "exp04_spec",
-    "exp04_trial",
-    "exp07_spec",
-    "exp07_trial",
-    "exp13_spec",
-    "ext04_spec",
-    "ext04_trial",
-    "resolve_spec",
-]
+__all__ = ["BENCH_CONFIG", "BUILTIN_CAMPAIGNS", "resolve_spec"]
 
 BENCH_CONFIG = ScenarioConfig(node_count=100, key_count=10, horizon_days=42)
 """The benchmark suite's default scenario (overridden per experiment)."""
 
 
-def _make_attacker(name: str, key_count: int) -> Any:
-    """A fresh, single-use attacker controller by catalogue name."""
-    from repro.attack.attacker import (
-        BlatantAttacker,
-        CsaAttacker,
-        PlannedAttacker,
-    )
-    from repro.core.baselines import (
-        GreedyWeightPlanner,
-        NearestFirstPlanner,
-        RandomPlanner,
-    )
-    from repro.core.windows import StealthPolicy
-
-    if name == "CSA":
-        return CsaAttacker(key_count=key_count)
-    if name == "CSA-no-windows":
-        return PlannedAttacker(stealth=StealthPolicy.none(), key_count=key_count)
-    if name == "Blatant":
-        return BlatantAttacker(key_count=key_count)
-    if name == "Greedy-Weight":
-        return PlannedAttacker(planner=GreedyWeightPlanner(), key_count=key_count)
-    if name == "Nearest-First":
-        return PlannedAttacker(planner=NearestFirstPlanner(), key_count=key_count)
-    if name == "Random":
-        return PlannedAttacker(planner=RandomPlanner(0), key_count=key_count)
-    raise ValueError(f"unknown attacker {name!r}")
-
-
-# ----------------------------------------------------------------------
-# EXP-03 — exhausted key-node ratio vs network size (headline figure)
-# ----------------------------------------------------------------------
-EXP03_NODE_COUNTS = (50, 100, 150, 200, 250)
-EXP03_SEEDS = (1, 2, 3)
-EXP03_ATTACKERS = ("CSA", "Greedy-Weight", "Nearest-First", "Random")
-
-
-def exp03_trial(params: Mapping[str, Any]) -> dict[str, Any]:
-    """One EXP-03 trial: one attacker on one network size and seed."""
-    from repro.sim.runner import run_attack
-
-    cfg = BENCH_CONFIG.with_(node_count=params["node_count"])
-    controller = _make_attacker(params["attacker"], cfg.key_count)
-    result = run_attack(cfg, params["seed"], controller=controller)
-    return {
-        "exhausted_key_ratio": result.exhausted_key_ratio(),
-        "exhausted_key_count": len(result.exhausted_key_ids()),
-        "detected": bool(result.detected),
-    }
-
-
-def exp03_spec() -> Any:
-    """EXP-03 grid: network sizes x attackers x seeds (60 trials)."""
-    from repro.campaign.spec import CampaignSpec, parameter_grid
-
-    return CampaignSpec(
-        name="exp03",
-        trial="repro.campaign.experiments:exp03_trial",
-        grid=parameter_grid(
-            node_count=EXP03_NODE_COUNTS,
-            attacker=EXP03_ATTACKERS,
-            seed=EXP03_SEEDS,
-        ),
-        description="exhausted key-node ratio vs network size (headline figure)",
-    )
-
-
-# ----------------------------------------------------------------------
-# EXP-04 — exhaustion vs number of key nodes targeted
-# ----------------------------------------------------------------------
-EXP04_KEY_COUNTS = (5, 10, 15, 20, 25)
-EXP04_SEEDS = (1, 2, 3)
-EXP04_ATTACKERS = ("CSA", "Greedy-Weight")
-
-
-def exp04_trial(params: Mapping[str, Any]) -> dict[str, Any]:
-    """One EXP-04 trial: one attack ambition level on one seed."""
-    from repro.sim.runner import run_attack
-
-    cfg = BENCH_CONFIG.with_(node_count=150, key_count=params["key_count"])
-    controller = _make_attacker(params["attacker"], cfg.key_count)
-    result = run_attack(cfg, params["seed"], controller=controller)
-    return {
-        "exhausted_key_ratio": result.exhausted_key_ratio(),
-        "exhausted_key_count": len(result.exhausted_key_ids()),
-        "detected": bool(result.detected),
-    }
-
-
-def exp04_spec() -> Any:
-    """EXP-04 grid: key-node counts x attackers x seeds (30 trials)."""
-    from repro.campaign.spec import CampaignSpec, parameter_grid
-
-    return CampaignSpec(
-        name="exp04",
-        trial="repro.campaign.experiments:exp04_trial",
-        grid=parameter_grid(
-            key_count=EXP04_KEY_COUNTS,
-            attacker=EXP04_ATTACKERS,
-            seed=EXP04_SEEDS,
-        ),
-        description="exhaustion vs number of key nodes targeted (N=150)",
-    )
-
-
-# ----------------------------------------------------------------------
-# EXP-07 — detection rate vs defender audit intensity
-# ----------------------------------------------------------------------
-EXP07_AUDIT_INTERVALS_H = (12.0, 24.0, 48.0, 96.0)
-EXP07_SEEDS = (1, 2, 3, 4)
-EXP07_ATTACKERS = ("CSA", "CSA-no-windows", "Blatant")
-
-
-def exp07_trial(params: Mapping[str, Any]) -> dict[str, Any]:
-    """One EXP-07 trial: one attacker under one audit intensity."""
-    from repro.sim.runner import run_attack
-
-    controller = _make_attacker(params["attacker"], BENCH_CONFIG.key_count)
-    result = run_attack(
-        BENCH_CONFIG,
-        params["seed"],
-        controller=controller,
-        audit_interval_s=params["audit_interval_h"] * 3600.0,
-    )
-    return {
-        "exhausted_key_ratio": result.exhausted_key_ratio(),
-        "detected": bool(result.detected),
-    }
-
-
-def exp07_spec() -> Any:
-    """EXP-07 grid: audit intervals x attackers x seeds (48 trials)."""
-    from repro.campaign.spec import CampaignSpec, parameter_grid
-
-    return CampaignSpec(
-        name="exp07",
-        trial="repro.campaign.experiments:exp07_trial",
-        grid=parameter_grid(
-            audit_interval_h=EXP07_AUDIT_INTERVALS_H,
-            attacker=EXP07_ATTACKERS,
-            seed=EXP07_SEEDS,
-        ),
-        description="detection rate vs voltage-audit intensity",
-    )
-
-
-# ----------------------------------------------------------------------
-# EXT-04 — one compromised charger inside an honest fleet
-# ----------------------------------------------------------------------
-EXT04_HONEST_COUNTS = (0, 1, 2, 3)
-EXT04_SEEDS = (1, 2, 3)
-
-
-def ext04_trial(params: Mapping[str, Any]) -> dict[str, Any]:
-    """One EXT-04 trial: CSA against ``honest_count`` benign co-chargers."""
-    from repro.attack.attacker import CsaAttacker
-    from repro.detection.auditors import default_detector_suite
-    from repro.mc.charger import ChargeMode
-    from repro.sim.benign import BenignController
-    from repro.sim.wrsn_sim import WrsnSimulation
-
-    seed = params["seed"]
-    extra = [
-        (BENCH_CONFIG.build_charger(), BenignController())
-        for _ in range(params["honest_count"])
-    ]
-    sim = WrsnSimulation(
-        BENCH_CONFIG.build_network(seed=seed),
-        BENCH_CONFIG.build_charger(),
-        CsaAttacker(key_count=BENCH_CONFIG.key_count),
-        detectors=default_detector_suite(seed),
-        horizon_s=BENCH_CONFIG.horizon_s,
-        extra_units=extra,
-    )
-    result = sim.run()
-    spoofs = sum(
-        1 for s in result.trace.services() if s.mode == ChargeMode.SPOOF
-    )
-    return {
-        "exhausted_key_ratio": result.exhausted_key_ratio(),
-        "detected": bool(result.detected),
-        "spoof_services": spoofs,
-    }
-
-
-def ext04_spec() -> Any:
-    """EXT-04 grid: honest co-charger counts x seeds (12 trials)."""
-    from repro.campaign.spec import CampaignSpec, parameter_grid
-
-    return CampaignSpec(
-        name="ext04",
-        trial="repro.campaign.experiments:ext04_trial",
-        grid=parameter_grid(
-            honest_count=EXT04_HONEST_COUNTS,
-            seed=EXT04_SEEDS,
-        ),
-        description="CSA vs honest fleet redundancy",
-    )
-
-
-def exp13_spec() -> Any:
-    """EXP-13: twin vs periodic audits across the scenario matrix."""
+def _csa_grid(name: str, description: str, **axes: Any) -> Any:
+    """A grid over ``csa-baseline`` with periodic detectors, no twin."""
     # Imported lazily: the scenario registry sits above the campaign layer.
+    from repro.scenarios.trials import scenario_grid_spec
+
+    return scenario_grid_spec(
+        name, description, axes, pinned={"scenario": "csa-baseline", "twin": False}
+    )
+
+
+def _exp03_spec() -> Any:
+    """EXP-03 — exhausted key-node ratio vs network size (60 trials)."""
+    return _csa_grid(
+        "exp03",
+        "exhausted key-node ratio vs network size (headline figure)",
+        node_count=(50, 100, 150, 200, 250),
+        controller=("csa", "greedy-weight", "nearest-first", "random"),
+        seed=(1, 2, 3),
+    )
+
+
+def _exp04_spec() -> Any:
+    """EXP-04 — exhaustion vs number of key nodes targeted (30 trials)."""
+    return _csa_grid(
+        "exp04",
+        "exhaustion vs number of key nodes targeted (N=150)",
+        node_count=(150,),
+        key_count=(5, 10, 15, 20, 25),
+        controller=("csa", "greedy-weight"),
+        seed=(1, 2, 3),
+    )
+
+
+def _exp07_spec() -> Any:
+    """EXP-07 — detection rate vs defender audit intensity (48 trials)."""
+    return _csa_grid(
+        "exp07",
+        "detection rate vs voltage-audit intensity",
+        audit_interval_s=tuple(h * 3600.0 for h in (12.0, 24.0, 48.0, 96.0)),
+        controller=("csa", "csa-no-windows", "blatant"),
+        seed=(1, 2, 3, 4),
+    )
+
+
+def _ext04_spec() -> Any:
+    """EXT-04 — one compromised charger inside an honest fleet (12 trials)."""
+    return _csa_grid(
+        "ext04",
+        "CSA vs honest fleet redundancy",
+        honest_chargers=(0, 1, 2, 3),
+        seed=(1, 2, 3),
+    )
+
+
+def _exp13_spec() -> Any:
+    """EXP-13 — twin vs periodic audits across the scenario matrix."""
     from repro.scenarios.trials import scenario_matrix_spec
 
     return scenario_matrix_spec()
@@ -254,11 +84,11 @@ def exp13_spec() -> Any:
 
 #: Spec builders the CLI can run by name.
 BUILTIN_CAMPAIGNS: dict[str, Callable[[], Any]] = {
-    "exp03": exp03_spec,
-    "exp04": exp04_spec,
-    "exp07": exp07_spec,
-    "exp13": exp13_spec,
-    "ext04": ext04_spec,
+    "exp03": _exp03_spec,
+    "exp04": _exp04_spec,
+    "exp07": _exp07_spec,
+    "exp13": _exp13_spec,
+    "ext04": _ext04_spec,
 }
 
 

@@ -56,9 +56,48 @@ def _make_command_spoof(key_count: int, seed: int, params: Mapping[str, Any]) ->
     return CommandSpoofAttacker(key_count=key_count, **params)
 
 
+def _make_csa_no_windows(key_count: int, seed: int, params: Mapping[str, Any]) -> Any:
+    from repro.attack.attacker import PlannedAttacker
+    from repro.core.windows import StealthPolicy
+
+    return PlannedAttacker(
+        stealth=StealthPolicy.none(), key_count=key_count, **params
+    )
+
+
+def _make_greedy_weight(key_count: int, seed: int, params: Mapping[str, Any]) -> Any:
+    from repro.attack.attacker import PlannedAttacker
+    from repro.core.baselines import GreedyWeightPlanner
+
+    return PlannedAttacker(
+        planner=GreedyWeightPlanner(), key_count=key_count, **params
+    )
+
+
+def _make_nearest_first(key_count: int, seed: int, params: Mapping[str, Any]) -> Any:
+    from repro.attack.attacker import PlannedAttacker
+    from repro.core.baselines import NearestFirstPlanner
+
+    return PlannedAttacker(
+        planner=NearestFirstPlanner(), key_count=key_count, **params
+    )
+
+
+def _make_random(key_count: int, seed: int, params: Mapping[str, Any]) -> Any:
+    from repro.attack.attacker import PlannedAttacker
+    from repro.core.baselines import RandomPlanner
+
+    # The planner's seed is pinned at 0, not the trial seed: EXP-03's
+    # Random column has always been generated this way.
+    return PlannedAttacker(planner=RandomPlanner(0), key_count=key_count, **params)
+
+
 #: Controller factories by catalogue name.  Each factory receives the
 #: resolved config's ``key_count``, the trial seed, and the spec's
-#: ``attacker_params``, and returns a fresh single-use controller.
+#: ``controller_params``, and returns a fresh single-use controller.
+#: The last four are the planner baselines: the CSA attacker's
+#: cover-traffic behaviour with a different TIDE planner or no
+#: stealth windows.
 CONTROLLER_CATALOGUE: dict[
     str, Callable[[int, int, Mapping[str, Any]], "MissionController"]
 ] = {
@@ -66,6 +105,10 @@ CONTROLLER_CATALOGUE: dict[
     "csa": _make_csa,
     "blatant": _make_blatant,
     "command-spoof": _make_command_spoof,
+    "csa-no-windows": _make_csa_no_windows,
+    "greedy-weight": _make_greedy_weight,
+    "nearest-first": _make_nearest_first,
+    "random": _make_random,
 }
 
 

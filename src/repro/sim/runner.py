@@ -13,6 +13,7 @@ from typing import Sequence
 from repro.attack.attacker import CsaAttacker
 from repro.detection.auditors import default_detector_suite
 from repro.sim.actions import MissionController
+from repro.sim.benign import BenignController
 from repro.sim.hooks import SimulationHook
 from repro.sim.scenario import ScenarioConfig
 from repro.sim.wrsn_sim import SimulationResult, WrsnSimulation
@@ -37,7 +38,8 @@ def run_attack(
     cfg:
         Scenario parameters; network and charger are built fresh.  When
         ``cfg.request_delay_mean_s > 0`` the corresponding probabilistic
-        arrival model is built and wired in automatically.
+        arrival model is built and wired in automatically, and each of
+        ``cfg.honest_chargers`` adds a benign co-charger to the fleet.
     seed:
         Topology/traffic/detector randomness.
     controller:
@@ -76,12 +78,17 @@ def run_attack(
         twin_detector = TwinDetector()
         suite = suite + [twin_detector]
         all_hooks.append(SimStreamPublisher(twin_detector.stream))
+    honest = [
+        (cfg.build_charger(), BenignController())
+        for _ in range(cfg.honest_chargers)
+    ]
     sim = WrsnSimulation(
         network,
         charger,
         controller,
         detectors=suite,
         horizon_s=cfg.horizon_s,
+        extra_units=honest,
         hooks=all_hooks,
         arrival_model=cfg.build_arrival_model(seed),
         stop_on_detection=stop_on_detection,

@@ -59,6 +59,10 @@ class ScenarioConfig:
     key_count: int = 15
     horizon_days: float = 45.0
 
+    # Fleet: honest (benign) chargers deployed beside the mission
+    # controller's own charger.  0 is the paper's single-charger setting.
+    honest_chargers: int = 0
+
     # Control plane: mean reporting lag between a node crossing its
     # request threshold and the base station receiving the request.
     # 0.0 (the seed default) keeps arrivals instantaneous/deterministic.

@@ -108,6 +108,7 @@ class TestResolution:
     def test_catalogue_names_are_stable(self):
         assert set(CONTROLLER_CATALOGUE) == {
             "benign", "csa", "blatant", "command-spoof",
+            "csa-no-windows", "greedy-weight", "nearest-first", "random",
         }
 
 

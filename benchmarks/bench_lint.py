@@ -1,28 +1,26 @@
-"""LINT — reprolint engine throughput: cold serial vs warm parallel+cache.
+"""LINT — reprolint engine throughput: cold serial vs warm cache.
 
-Times the full lint of ``src/repro`` three ways and persists the series
+Times the full lint of ``src/repro`` two ways and persists the series
 in ``BENCH_lint.json``:
 
-* **cold serial** — no cache, one process: the pre-optimisation path and
-  the baseline every other mode is compared against;
-* **cold parallel** — process-pool per-file pass on an empty cache;
+* **cold serial** — no cache: the reference every other mode is
+  compared against;
 * **warm cached** — every per-file result served from the
   content-addressed cache, so only cache lookups and the cross-module
   project passes run.
 
-The warm-cache run must beat the cold serial run (``_SPEEDUP_FLOOR``);
-all three modes must agree finding-for-finding with the serial path,
-so the speed never comes at the cost of a dropped diagnostic.
+The warm-cache run must beat the cold serial run (``_SPEEDUP_FLOOR``)
+and agree with it finding-for-finding, so the speed never comes at the
+cost of a dropped diagnostic.
 
-A fourth timing runs the registry *minus* the concurrency pack
+A third timing runs the registry *minus* the concurrency pack
 (RL-C001..C005): the call-graph + CFG layers must not inflate a cold
-run beyond ``_PACK_OVERHEAD_CEILING`` of the pack-free time.  A fifth
+run beyond ``_PACK_OVERHEAD_CEILING`` of the pack-free time.  A fourth
 does the same for the array-semantics pack (RL-N001..N005): the
 abstract interpreter is gated to numpy-touching functions, so it too
 must stay within the ceiling.
 """
 
-import os
 import pathlib
 import time
 
@@ -56,14 +54,14 @@ _ROUNDS = 3
 _RESULTS: dict[str, float] = {}
 
 
-def _time_lint(cache_factory=None, jobs=1, engine=None):
+def _time_lint(cache_factory=None, engine=None):
     engine = engine if engine is not None else LintEngine()
     best = float("inf")
     findings = None
     for round_index in range(_ROUNDS):
         cache = cache_factory(round_index) if cache_factory else None
         start = time.perf_counter()
-        findings = engine.lint_paths([SRC_TREE], cache=cache, jobs=jobs)
+        findings = engine.lint_paths([SRC_TREE], cache=cache)
         best = min(best, time.perf_counter() - start)
     return best, findings
 
@@ -83,34 +81,21 @@ def _engine_without_pack(prefix):
 def bench_lint_modes(tmp_path, benchmark):
     serial_s, serial_findings = _time_lint()
 
-    # A fresh cache directory per round keeps every parallel round cold.
-    jobs = max(2, os.cpu_count() or 1)
-    parallel_s, parallel_findings = _time_lint(
-        cache_factory=lambda i: LintCache(
-            tmp_path / f"cold{i}", ruleset_signature()
-        ),
-        jobs=jobs,
-    )
-
     warm_cache = LintCache(tmp_path / "warm", ruleset_signature())
     engine = LintEngine()
     engine.lint_paths([SRC_TREE], cache=warm_cache)  # populate
-    warm_s, warm_findings = _time_lint(
-        cache_factory=lambda _i: warm_cache, jobs=jobs
-    )
+    warm_s, warm_findings = _time_lint(cache_factory=lambda _i: warm_cache)
     assert warm_cache.hits > 0
 
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
     as_rows = lambda fs: [f.format() for f in fs]  # noqa: E731
-    assert as_rows(parallel_findings) == as_rows(serial_findings)
     assert as_rows(warm_findings) == as_rows(serial_findings)
 
     no_c_s, _ = _time_lint(engine=_engine_without_pack("RL-C"))
     no_n_s, _ = _time_lint(engine=_engine_without_pack("RL-N"))
 
     _RESULTS["cold serial"] = serial_s
-    _RESULTS[f"cold parallel (jobs={jobs})"] = parallel_s
     _RESULTS["warm cached"] = warm_s
     _RESULTS["cold serial (no RL-C pack)"] = no_c_s
     _RESULTS["cold serial (no RL-N pack)"] = no_n_s
@@ -154,7 +139,6 @@ def bench_lint_modes(tmp_path, benchmark):
         "lint",
         {
             "modes": {mode: seconds for mode, seconds in _RESULTS.items()},
-            "jobs": jobs,
             "rounds": _ROUNDS,
             "speedup_warm_vs_cold_serial": speedup,
             "speedup_floor": _SPEEDUP_FLOOR,

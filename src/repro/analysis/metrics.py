@@ -15,7 +15,6 @@ from repro.sim.wrsn_sim import SimulationResult
 
 __all__ = [
     "AttackMetrics",
-    "LifetimeMetrics",
     "attack_metrics",
     "lifetime_metrics",
     "network_lifetime_s",

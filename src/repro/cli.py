@@ -26,7 +26,7 @@ from repro.campaign.cli import configure_parser as configure_campaign_parser
 from repro.lint.cli import configure_parser as configure_lint_parser
 from repro.service.cli import configure_parser as configure_service_parser
 
-__all__ = ["build_parser", "main"]
+__all__ = ["main"]
 
 
 def _cmd_quickstart(args: argparse.Namespace) -> int:

@@ -38,7 +38,6 @@ __all__ = [
     "Planner",
     "RandomPlanner",
     "TspPlanner",
-    "append_feasible",
 ]
 
 

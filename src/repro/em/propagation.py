@@ -29,7 +29,6 @@ from repro.utils.validation import (
 
 __all__ = [
     "POWERCAST_FREQUENCY_HZ",
-    "SPEED_OF_LIGHT",
     "EmpiricalChargingModel",
     "FriisModel",
     "wavelength",

@@ -25,7 +25,6 @@ __all__ = [
     "coherent_power",
     "field_phasor",
     "incoherent_power",
-    "phasor",
     "superpose",
 ]
 

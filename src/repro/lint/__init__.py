@@ -32,12 +32,11 @@ Findings on a line carrying a ``# reprolint: disable=RL-XXXX`` comment —
 any physical line of the offending statement — are suppressed.
 
 Production niceties: a content-addressed per-file result cache
-(:mod:`repro.lint.cache`), a process-pool parallel mode, a SARIF 2.1.0
-renderer for code scanning, and count-based baselines
-(:mod:`repro.lint.baseline`) so new rules land strict-for-new-code.
+(:mod:`repro.lint.cache`) and a SARIF 2.1.0 renderer for code scanning.
+The source tree is held to zero findings: there is no baseline of
+tolerated debt.
 """
 
-from repro.lint.baseline import apply_baseline, load_baseline, write_baseline
 from repro.lint.cache import LintCache
 from repro.lint.callgraph import CallGraph, EntryPoint, conflict
 from repro.lint.cfg import CFG, CFGNode, build_cfg
@@ -85,19 +84,16 @@ __all__ = [
     "Rule",
     "all_project_rules",
     "all_rules",
-    "apply_baseline",
     "build_cfg",
     "conflict",
     "get_rule",
     "lint_paths",
     "lint_source",
     "lint_sources",
-    "load_baseline",
     "register",
     "register_project",
     "render_json",
     "render_sarif",
     "render_statistics",
     "render_text",
-    "write_baseline",
 ]

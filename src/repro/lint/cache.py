@@ -34,10 +34,7 @@ from typing import Sequence
 
 from repro.lint.findings import Finding
 
-__all__ = ["DEFAULT_CACHE_DIR", "LintCache", "source_digest"]
-
-#: Conventional in-repo cache location (gitignored); opt-in via the CLI.
-DEFAULT_CACHE_DIR = ".reprolint-cache"
+__all__ = ["LintCache"]
 
 _FORMAT_VERSION = 1
 

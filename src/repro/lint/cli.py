@@ -3,7 +3,7 @@
 Kept separate from :mod:`repro.cli` so the top-level CLI only pays the
 import cost of the lint engine when the subcommand actually runs.
 
-Exit codes: 0 clean (or baseline updated), 1 findings, 2 usage error.
+Exit codes: 0 clean, 1 findings, 2 usage error.
 Usage errors go to stderr; ``--statistics`` also prints to stderr so the
 stdout report stays machine-parseable under ``--format json``/``sarif``.
 """
@@ -43,18 +43,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         "to stderr",
     )
     parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=None,
-        help="suppress findings recorded in this baseline document",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline (--baseline, default "
-        ".reprolint-baseline.json) from the current findings and exit 0",
-    )
-    parser.add_argument(
         "--select",
         action="append",
         default=None,
@@ -69,14 +57,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         metavar="RULES",
         help="skip these rules (comma-separated ids or prefixes; "
         "repeatable, applied after --select)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="process-pool workers for the per-file pass "
-        "(0 = one per CPU, default: 1 = serial)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -115,14 +95,6 @@ def _expand_selectors(values: list[str], known_ids: set[str]) -> set[str]:
 
 def run_lint(args: argparse.Namespace) -> int:
     """Execute the lint subcommand; returns the process exit code."""
-    import os
-
-    from repro.lint.baseline import (
-        DEFAULT_BASELINE_PATH,
-        apply_baseline,
-        load_baseline,
-        write_baseline,
-    )
     from repro.lint.cache import LintCache
     from repro.lint.engine import LintEngine
     from repro.lint.registry import (
@@ -159,51 +131,23 @@ def run_lint(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"reprolint: {exc}", file=sys.stderr)
         return 2
-    filtered = args.select is not None or args.ignore is not None
     active_ids = selected - ignored
-
-    if filtered:
-        engine = LintEngine(
-            rules=[c for c in rule_classes if c.rule_id in active_ids],
-            project_rules=[
-                c for c in project_classes if c.rule_id in active_ids
-            ],
-        )
-        # The cache signature covers exactly the selection, so filtered
-        # and full runs never reuse each other's entries.
-        signature = ruleset_signature(active_ids)
-    else:
-        engine = LintEngine()
-        signature = ruleset_signature()
+    engine = LintEngine(
+        rules=[c for c in rule_classes if c.rule_id in active_ids],
+        project_rules=[c for c in project_classes if c.rule_id in active_ids],
+    )
 
     cache = None
     if args.cache_dir is not None:
-        cache = LintCache(args.cache_dir, signature)
-    jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
+        # The cache signature covers exactly the selection, so filtered
+        # and full runs never reuse each other's entries.
+        cache = LintCache(args.cache_dir, ruleset_signature(active_ids))
 
     try:
-        findings = engine.lint_paths(args.paths, cache=cache, jobs=jobs)
+        findings = engine.lint_paths(args.paths, cache=cache)
     except FileNotFoundError as exc:
         print(f"reprolint: {exc}", file=sys.stderr)
         return 2
-
-    if args.update_baseline:
-        target = args.baseline or DEFAULT_BASELINE_PATH
-        write_baseline(target, findings)
-        print(
-            f"reprolint: baseline written to {target} "
-            f"({len(findings)} findings)",
-            file=sys.stderr,
-        )
-        return 0
-
-    if args.baseline is not None:
-        try:
-            allowed = load_baseline(args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"reprolint: cannot read baseline: {exc}", file=sys.stderr)
-            return 2
-        findings = apply_baseline(findings, allowed)
 
     renderer = {
         "json": render_json,

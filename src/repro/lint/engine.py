@@ -14,21 +14,17 @@ boundaries are caught too.  Findings landing on a suppressed line — any
 physical line of the offending statement may carry the comment — are
 dropped at collection time, so reporters never see them.
 
-The per-file pass is embarrassingly parallel and content-addressed:
-``lint_paths``/``lint_files`` accept a :class:`~repro.lint.cache.LintCache`
-and a ``jobs`` count, mirroring the campaign runner's process-pool
-executor (fork start method where available, serial fallback on any pool
-breakage).
+The per-file pass is content-addressed: ``lint_paths``/``lint_files``
+accept a :class:`~repro.lint.cache.LintCache` that skips the walk for
+unchanged files.
 """
 
 from __future__ import annotations
 
 import ast
 import io
-import multiprocessing
 import re
 import tokenize
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from pathlib import Path, PurePosixPath
 from time import perf_counter
 from typing import Iterable, Sequence
@@ -44,12 +40,10 @@ from repro.lint.registry import (
 __all__ = [
     "LintEngine",
     "ModuleContext",
-    "PARSE_ERROR_ID",
     "collect_suppressions",
     "lint_paths",
     "lint_source",
     "lint_sources",
-    "resolve_lint_files",
 ]
 
 #: Pseudo rule id used for files that fail to parse.
@@ -282,27 +276,6 @@ def resolve_lint_files(paths: Iterable[str | Path]) -> list[Path]:
     return files
 
 
-def _lint_batch_worker(
-    items: Sequence[tuple[str, str]],
-) -> tuple[list[tuple[str, int, int, str, str]], dict[str, float]]:
-    """Process-pool worker: run the per-file pass over a batch of sources.
-
-    Returns plain tuples (not :class:`Finding`) plus the batch's per-rule
-    timings, keeping the pickled payload small and version-independent.
-    Workers always run the full default rule set; engines with a custom
-    rule selection lint serially.
-    """
-    engine = LintEngine(project_rules=())
-    out: list[tuple[str, int, int, str, str]] = []
-    for path, source in items:
-        for finding in engine._run_file_rules(source, path):
-            out.append(
-                (finding.path, finding.line, finding.col, finding.rule_id,
-                 finding.message)
-            )
-    return out, engine.rule_timings
-
-
 class LintEngine:
     """Runs the registered rules over sources, files, and trees."""
 
@@ -311,7 +284,6 @@ class LintEngine:
         rules: Sequence[type[Rule]] | None = None,
         project_rules: Sequence[type[ProjectRule]] | None = None,
     ) -> None:
-        self._default_rule_set = rules is None and project_rules is None
         self._rule_classes = tuple(rules) if rules is not None else all_rules()
         self._project_rule_classes = (
             tuple(project_rules) if project_rules is not None
@@ -421,35 +393,6 @@ class LintEngine:
                 )
         return findings
 
-    def _parallel_file_pass(
-        self, pending: Sequence[tuple[str, str]], jobs: int
-    ) -> list[Finding] | None:
-        """Per-file pass over a process pool; ``None`` means fall back."""
-        if not self._default_rule_set:
-            return None  # workers can only reconstruct the default rule set
-        try:
-            mp_context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            mp_context = multiprocessing.get_context()
-        chunk = max(1, len(pending) // (jobs * 4) or 1)
-        batches = [
-            list(pending[i : i + chunk]) for i in range(0, len(pending), chunk)
-        ]
-        findings: list[Finding] = []
-        try:
-            with ProcessPoolExecutor(
-                max_workers=jobs, mp_context=mp_context
-            ) as pool:
-                for rows, timings in pool.map(_lint_batch_worker, batches):
-                    findings.extend(Finding(*row) for row in rows)
-                    for rule_id, seconds in timings.items():
-                        self.rule_timings[rule_id] = (
-                            self.rule_timings.get(rule_id, 0.0) + seconds
-                        )
-        except (BrokenExecutor, OSError):  # pragma: no cover - pool breakage
-            return None
-        return findings
-
     # ------------------------------------------------------------------
     # Public entry points
     # ------------------------------------------------------------------
@@ -463,43 +406,26 @@ class LintEngine:
         items: Sequence[tuple[str, str]],
         *,
         cache: "LintCache | None" = None,  # noqa: F821 - lazy import below
-        jobs: int = 1,
     ) -> list[Finding]:
         """Lint ``(path, source)`` pairs as one project.
 
         ``cache`` (a :class:`repro.lint.cache.LintCache`) skips the
-        per-file pass for unchanged content; ``jobs > 1`` runs cache
-        misses on a process pool.
+        per-file pass for unchanged content.
         """
         items = [
             (str(PurePosixPath(Path(str(path)).as_posix())), source)
             for path, source in items
         ]
         findings: list[Finding] = []
-        pending: list[tuple[str, str]] = []
         for path, source in items:
-            cached = cache.get(path, source) if cache is not None else None
-            if cached is not None:
-                findings.extend(cached)
-            else:
-                pending.append((path, source))
-        if pending:
-            computed: list[Finding] | None = None
-            if jobs > 1 and len(pending) > 1:
-                computed = self._parallel_file_pass(pending, jobs)
-            if computed is None:
-                computed = []
-                for path, source in pending:
-                    computed.extend(self._run_file_rules(source, path))
-            if cache is not None:
-                by_path: dict[str, list[Finding]] = {
-                    path: [] for path, _ in pending
-                }
-                for finding in computed:
-                    by_path.setdefault(finding.path, []).append(finding)
-                for path, source in pending:
-                    cache.put(path, source, by_path.get(path, []))
-            findings.extend(computed)
+            file_findings = (
+                cache.get(path, source) if cache is not None else None
+            )
+            if file_findings is None:
+                file_findings = self._run_file_rules(source, path)
+                if cache is not None:
+                    cache.put(path, source, file_findings)
+            findings.extend(file_findings)
         # The cross-module pass is cached as one project-level entry
         # keyed on every module's content (see LintCache.get_project):
         # an edit to any file re-runs the import-graph/call-graph rules,
@@ -524,24 +450,22 @@ class LintEngine:
         files: Sequence[str | Path],
         *,
         cache: "LintCache | None" = None,  # noqa: F821
-        jobs: int = 1,
     ) -> list[Finding]:
         """Lint an explicit file list as one project."""
         items = [
             (str(file), Path(file).read_text(encoding="utf-8"))
             for file in files
         ]
-        return self.lint_sources(items, cache=cache, jobs=jobs)
+        return self.lint_sources(items, cache=cache)
 
     def lint_paths(
         self,
         paths: Iterable[str | Path],
         *,
         cache: "LintCache | None" = None,  # noqa: F821
-        jobs: int = 1,
     ) -> list[Finding]:
         """Lint files and directory trees; directories are walked for .py."""
-        return self.lint_files(resolve_lint_files(paths), cache=cache, jobs=jobs)
+        return self.lint_files(resolve_lint_files(paths), cache=cache)
 
 
 def lint_source(source: str, path: str = "<string>") -> list[Finding]:

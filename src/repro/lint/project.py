@@ -26,7 +26,6 @@ from typing import Iterable, Iterator, Sequence
 __all__ = [
     "ModuleRecord",
     "ProjectModel",
-    "module_name_for_path",
 ]
 
 

@@ -30,7 +30,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 
 __all__ = [
     "ProjectRule",
-    "RULESET_VERSION",
     "Rule",
     "all_project_rules",
     "all_rules",

@@ -17,8 +17,6 @@ from typing import Mapping, Sequence
 from repro.lint.findings import Finding
 
 __all__ = [
-    "SARIF_SCHEMA_URI",
-    "SARIF_VERSION",
     "render_json",
     "render_sarif",
     "render_statistics",

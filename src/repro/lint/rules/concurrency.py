@@ -13,7 +13,7 @@ that surface:
   ``self.method`` thread target, an instance stored on shared state) —
   so the service's open-one-connection-per-thread discipline is
   recognised as safe rather than baselined.
-* **RL-C004/C005** are per-file rules (cached and ``--jobs``-parallel):
+* **RL-C004/C005** are per-file rules (cached):
   RL-C004 runs the path-sensitive may-leak analysis on the per-function
   :mod:`~repro.lint.cfg` CFG; RL-C005 enforces thread-join and
   ``acquire``/``try/finally`` discipline syntactically, covering the

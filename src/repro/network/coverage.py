@@ -17,7 +17,7 @@ from repro.network.network import Network
 from repro.network.spatial import SpatialGridIndex
 from repro.utils.validation import check_positive
 
-__all__ = ["coverage_ratio", "covered_fraction_of_points"]
+__all__ = ["coverage_ratio"]
 
 DEFAULT_SENSING_RADIUS_M = 12.0
 """Default sensing radius: slightly over half the communication range."""

@@ -16,7 +16,7 @@ from repro.network.routing import RoutingTree, descendants_by_node
 from repro.network.topology import BASE_STATION_ID
 from repro.utils.validation import check_non_negative
 
-__all__ = ["TrafficModel", "relay_loads", "upstream_loads"]
+__all__ = ["TrafficModel", "relay_loads"]
 
 
 @dataclass(frozen=True)
@@ -87,18 +87,3 @@ def relay_loads(
             relay += traffic.rate(desc)
         loads[node_id] = relay
     return loads
-
-
-def upstream_loads(
-    tree: RoutingTree, traffic: TrafficModel, alive: set[int] | None = None
-) -> dict[int, float]:
-    """Total traffic (bps) each connected node transmits upstream.
-
-    A node's upstream load is its own generation rate plus everything it
-    relays.
-    """
-    relays = relay_loads(tree, traffic, alive)
-    return {
-        node_id: relays[node_id] + traffic.rate(node_id)
-        for node_id in relays
-    }

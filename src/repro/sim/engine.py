@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any
 
-__all__ = ["EventQueue", "ScheduledEvent"]
+__all__ = ["EventQueue"]
 
 
 @dataclass(frozen=True, order=True)

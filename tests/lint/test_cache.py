@@ -155,25 +155,3 @@ class TestEngineCacheIntegration:
         payload = json.loads(entries[0].read_text())
         assert payload["version"] == 1
         assert payload["findings"] == []
-
-
-class TestParallelMode:
-    def test_parallel_matches_serial(self, tmp_path):
-        for index in range(6):
-            (tmp_path / f"mod{index}.py").write_text(_DIRTY)
-        engine = LintEngine()
-        serial = engine.lint_paths([tmp_path], jobs=1)
-        parallel = engine.lint_paths([tmp_path], jobs=2)
-        assert [f.format() for f in parallel] == [f.format() for f in serial]
-        assert serial  # the comparison is not vacuous
-
-    def test_custom_rule_engine_falls_back_to_serial(self, tmp_path):
-        from repro.lint.rules.hygiene import NoBareExcept
-
-        (tmp_path / "mod.py").write_text(
-            "try:\n    pass\nexcept:\n    pass\n"
-        )
-        (tmp_path / "mod2.py").write_text(_DIRTY)
-        engine = LintEngine(rules=[NoBareExcept], project_rules=())
-        findings = engine.lint_paths([tmp_path], jobs=4)
-        assert [f.rule_id for f in findings] == ["RL-H002"]

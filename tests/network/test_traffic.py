@@ -4,7 +4,7 @@ import pytest
 
 from repro.network.routing import build_routing_tree
 from repro.network.topology import communication_graph
-from repro.network.traffic import TrafficModel, relay_loads, upstream_loads
+from repro.network.traffic import TrafficModel, relay_loads
 from repro.utils.geometry import Point
 from repro.utils.rng import make_rng
 
@@ -47,13 +47,6 @@ class TestRelayLoads:
         assert loads[2] == pytest.approx(0.0)
         assert loads[1] == pytest.approx(100.0)
         assert loads[0] == pytest.approx(200.0)
-
-    def test_upstream_adds_own_rate(self):
-        tree = build_routing_tree(chain_graph())
-        traffic = TrafficModel.homogeneous(3, 100.0)
-        ups = upstream_loads(tree, traffic)
-        assert ups[0] == pytest.approx(300.0)
-        assert ups[2] == pytest.approx(100.0)
 
     def test_dead_descendants_stop_contributing(self):
         graph = chain_graph()

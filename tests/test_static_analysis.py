@@ -1,10 +1,10 @@
-"""Tier-1 gate: the source tree is reprolint-clean modulo the checked-in
-baseline, and the rule catalogue, fixture table, and documentation stay in
-sync with the registry (per-file and project rules alike)."""
+"""Tier-1 gate: the source tree is reprolint-clean, and the rule
+catalogue, fixture table, and documentation stay in sync with the
+registry (per-file and project rules alike)."""
 
 from pathlib import Path
 
-from repro.lint import apply_baseline, lint_paths, load_baseline
+from repro.lint import lint_paths
 from repro.lint.registry import all_project_rules, all_rules
 
 from tests.lint.fixtures import RULE_FIXTURES
@@ -12,37 +12,16 @@ from tests.lint.fixtures import RULE_FIXTURES
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_TREE = REPO_ROOT / "src" / "repro"
 RULE_DOC = REPO_ROOT / "docs" / "reprolint.md"
-BASELINE = REPO_ROOT / ".reprolint-baseline.json"
 
 
 def _all_rule_ids():
     return {rule.rule_id for rule in (*all_rules(), *all_project_rules())}
 
 
-def test_source_tree_has_zero_findings_beyond_the_baseline():
-    findings = apply_baseline(lint_paths([SRC_TREE]), load_baseline(BASELINE))
+def test_source_tree_has_zero_findings():
+    findings = lint_paths([SRC_TREE])
     report = "\n".join(finding.format() for finding in findings)
-    assert findings == [], f"non-baselined reprolint findings in src/repro:\n{report}"
-
-
-def test_baseline_has_no_stale_headroom():
-    # Every baselined (file, rule) budget must still be fully used;
-    # otherwise someone fixed debt without ratcheting the baseline down
-    # (python -m repro lint src/repro --update-baseline).
-    from collections import Counter
-
-    from repro.lint.baseline import canonical_path
-
-    allowed = load_baseline(BASELINE)
-    actual = Counter(
-        (canonical_path(f.path), f.rule_id) for f in lint_paths([SRC_TREE])
-    )
-    stale = {
-        key: (budget, actual.get(key, 0))
-        for key, budget in allowed.items()
-        if actual.get(key, 0) < budget
-    }
-    assert not stale, f"baseline budgets exceed current findings: {stale}"
+    assert findings == [], f"reprolint findings in src/repro:\n{report}"
 
 
 def test_every_registered_rule_has_a_fixture():

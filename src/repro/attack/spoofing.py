@@ -13,9 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.mc.charger import ChargingHardware
+from repro.mc.charger import ChargeMode, ChargingHardware
 from repro.utils.geometry import Point
 
 __all__ = ["SpoofReport", "execute_spoof"]
@@ -57,23 +55,20 @@ class SpoofReport:
 def execute_spoof(hardware: ChargingHardware) -> SpoofReport:
     """Steer a null at the hardware's standard service geometry and report.
 
-    Uses the same parking geometry the simulator assumes, so the report's
-    ``harvested_w`` matches :attr:`ChargingHardware.spoof_rate_w` exactly.
+    Uses the same parking geometry the simulator assumes, and reads the
+    harvest and pilot power from the hardware itself, so the report's
+    ``harvested_w`` and ``pilot_rf_w`` are exactly
+    :attr:`ChargingHardware.spoof_rate_w` and
+    ``ChargingHardware.pilot_rf_power_w(ChargeMode.SPOOF)``.
     """
     charger = Point(0.0, 0.0)
     victim = Point(hardware.service_distance_m, 0.0)
     array = hardware.array
 
     phases = array.spoof_phases(charger, victim)
-    pilot_point = array.pilot_point(victim, charger)
-    # Rectenna and pilot observables come out of one batched field solve.
-    observations = np.array(
-        [(victim.x, victim.y), (pilot_point.x, pilot_point.y)], dtype=float
-    )
-    rf_powers = array.rf_powers_at_many(observations, charger, phases)
-    rf = float(rf_powers[0])
-    pilot_rf = float(rf_powers[1])
-    harvested = float(hardware.rectenna.harvest(rf))
+    rf = array.rf_power_at(victim, charger, phases)
+    pilot_rf = hardware.pilot_rf_power_w(ChargeMode.SPOOF)
+    harvested = hardware.spoof_rate_w
     genuine = hardware.genuine_rate_w
 
     if harvested <= 0.0:

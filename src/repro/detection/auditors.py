@@ -296,7 +296,6 @@ def default_detector_suite(
     seed: int = 0,
     *,
     audit_interval_s: float | None = None,
-    include_twin: bool = False,
 ) -> list[Detector]:
     """The full defender loadout with default thresholds.
 
@@ -305,14 +304,9 @@ def default_detector_suite(
     intensity (EXP-07), rather than locating the auditor by name in the
     returned list and mutating it in place.
 
-    ``include_twin`` appends a default-configured
-    :class:`~repro.twin.detector.TwinDetector` — an explicit constructor
-    flag, again instead of post-hoc list surgery.  The caller still owns
-    the wiring of its observation stream: attach a
-    :class:`~repro.twin.feed.SimStreamPublisher` for the twin's
-    ``stream`` to the simulation's hooks (``run_attack(..., twin=True)``
-    does both).  Without a publisher the twin simply observes nothing.
-    The periodic-audit-only suite (the default) is unchanged by the flag.
+    The streaming twin is not part of this suite: it needs an
+    observation feed wired into the simulation, which
+    ``run_attack(..., twin=True)`` builds alongside it.
     """
     if audit_interval_s is None:
         voltage_auditor = RandomVoltageAuditor(seed=seed)
@@ -320,16 +314,9 @@ def default_detector_suite(
         voltage_auditor = RandomVoltageAuditor(
             mean_interval_s=audit_interval_s, seed=seed
         )
-    suite: list[Detector] = [
+    return [
         DeathAfterChargeAuditor(),
         voltage_auditor,
         TrajectoryAnomalyDetector(),
         NeglectMonitor(),
     ]
-    if include_twin:
-        # Imported lazily: detection is a lower layer than twin (twin
-        # subclasses Detector), so a module-level import would be a cycle.
-        from repro.twin.detector import TwinDetector
-
-        suite.append(TwinDetector())
-    return suite

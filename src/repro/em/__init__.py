@@ -18,22 +18,21 @@ exploits:
   code: sweep relative phase, measure harvested power, fit the cancellation
   model.
 
-The hot-path kernels are batched: :meth:`ChargerArray.fields_at_many`
-(and its companions ``rf_powers_at_many``, ``spoof_phases_many``,
-``beamform_phases_many``, ``delivered_powers_many``) take an ``(m, 2)``
-ndarray of observation points and return per-point phasors/powers from a
-single vectorized field solve, with :func:`solve_null_phases_batch`
-nulling every target's arrival phases at once.  ``Rectenna.harvest`` /
-``efficiency``, the :class:`FriisModel` path quantities, and
-:func:`two_wave_rf_power` all accept ndarrays elementwise, so sweeps and
-attack/detection scans never fall back to per-point Python loops.
+Every EM quantity comes from one scalar path.
+:class:`~repro.mc.charger.ChargingHardware` evaluates the array at its
+fixed service geometry through :meth:`ChargerArray.delivered_power` and
+:meth:`ChargerArray.pilot_power` (the genuine and spoof rates are cached
+per hardware), the simulator reads only those hardware numbers, and
+:func:`~repro.attack.spoofing.execute_spoof` reports the same ones.
+Only the Section II sweep is array-valued: :func:`two_wave_rf_power` and
+``Rectenna.harvest`` / ``efficiency`` accept ndarrays elementwise so
+:func:`superposition_sweep` evaluates its phase grid in one pass.
 """
 
 from repro.em.charger_array import (
     AntennaElement,
     ChargerArray,
     solve_null_phases,
-    solve_null_phases_batch,
 )
 from repro.em.propagation import (
     POWERCAST_FREQUENCY_HZ,
@@ -70,7 +69,6 @@ __all__ = [
     "fit_two_wave_model",
     "incoherent_power",
     "solve_null_phases",
-    "solve_null_phases_batch",
     "superpose",
     "superposition_sweep",
     "two_wave_rf_power",

@@ -32,18 +32,12 @@ import numpy as np
 from repro.em.propagation import FriisModel
 from repro.em.rectenna import Rectenna
 from repro.utils.geometry import Point
-from repro.utils.validation import (
-    check_non_negative,
-    check_non_negative_array,
-    check_positive,
-    require_float64,
-)
+from repro.utils.validation import check_non_negative, check_positive
 
 __all__ = [
     "AntennaElement",
     "ChargerArray",
     "solve_null_phases",
-    "solve_null_phases_batch",
 ]
 
 PhaseMode = Literal["beamform", "spoof"]
@@ -66,16 +60,16 @@ def minimum_null_residual(amplitudes: Sequence[float]) -> float:
 def _descend(
     amps: np.ndarray, phases: np.ndarray, tol: float, max_iterations: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic coordinate descent on ``|sum_i a_i exp(j theta_i)|``, batched.
+    """Cyclic coordinate descent on ``|sum_i a_i exp(j theta_i)|``.
 
-    Operates on ``(m, k)`` ndarrays: ``m`` independent phasor sets
-    descend in lockstep, sweeping elements left to right exactly like
-    the historical scalar loop.  The optimal phase for one element,
-    holding the rest fixed, points exactly opposite the partial sum of
-    the others; each update can only shrink a row's residual.  A row
-    drops out of the active set once its residual is below ``tol`` or a
-    full sweep fails to improve it meaningfully.  Returns the polished
-    phases ``(m, k)`` and the final residuals ``(m,)``.
+    Operates on ``(m, k)`` ndarrays (:func:`solve_null_phases` passes a
+    single ``(1, k)`` row), sweeping elements left to right.  The
+    optimal phase for one element, holding the rest fixed, points
+    exactly opposite the partial sum of the others; each update can only
+    shrink a row's residual.  A row drops out of the active set once its
+    residual is below ``tol`` or a full sweep fails to improve it
+    meaningfully.  Returns the polished phases ``(m, k)`` and the final
+    residuals ``(m,)``.
     """
     phases = np.array(phases, dtype=float)
     phasors = amps * np.exp(1j * phases)
@@ -190,77 +184,6 @@ def solve_null_phases(
         max_iterations,
     )
     return [float(p) for p in polished[0]]
-
-
-def solve_null_phases_batch(
-    amplitudes: np.ndarray | Sequence[Sequence[float]],
-    tol: float = 1e-12,
-    max_iterations: int = 200,
-) -> np.ndarray:
-    """Vectorized :func:`solve_null_phases` over many amplitude rows.
-
-    Same analytic triangle construction and descent polish, batched: row
-    ``j`` of the returned ``(m, k)`` phase array nulls ``amplitudes[j]``.
-    The greedy partition is sequential over the ``k`` elements (its
-    greedy state is inherently serial) but vectorized across the ``m``
-    rows, and the polish runs all rows through the ndarray
-    :func:`_descend` in lockstep.
-    """
-    amps = check_non_negative_array("amplitudes", amplitudes)
-    if amps.ndim != 2:
-        raise ValueError(
-            f"amplitudes must be 2-D (rows of element amplitudes), "
-            f"got shape {amps.shape}"
-        )
-    m, n = amps.shape
-    phases = np.zeros((m, n))
-    if n <= 1 or m == 0:
-        return phases
-
-    # Explicit int64 rather than the platform-int arange default, so the
-    # row-index math stays overflow-free on 32-bit builds at any m.
-    rows = np.arange(m, dtype=np.int64)
-    # Descending amplitude; 'stable' keeps ties in index order, matching
-    # the scalar solver's sort.
-    order = np.argsort(-amps, axis=1, kind="stable")
-    dominant = order[:, 0]
-    scale = amps[rows, dominant]
-    solvable = scale > 0.0
-    unit = np.divide(
-        amps, scale[:, None], out=np.zeros_like(amps), where=solvable[:, None]
-    )
-
-    # Greedy balanced partition of the rest into groups B and C.
-    group = np.zeros((m, n), dtype=np.int64)
-    sums = np.zeros((m, 2))
-    for j in range(1, n):
-        idx = order[:, j]
-        lighter = (sums[:, 0] > sums[:, 1]).astype(np.int64)
-        group[rows, idx] = lighter
-        sums[rows, lighter] += unit[rows, idx]
-    b_mag = sums[:, 0]
-    c_mag = sums[:, 1]
-
-    # Close the triangle per row (a_mag normalised to 1); degenerate rows
-    # fall back to the collinear split, exactly like the scalar solver.
-    denom_b = 2.0 * b_mag
-    denom_c = 2.0 * c_mag
-    # reprolint: disable-next=RL-P001 (exact-zero guards against division by zero)
-    degenerate = (b_mag <= 0.0) | (c_mag <= 0.0) | (denom_b == 0.0) | (denom_c == 0.0)
-    safe_b = np.where(degenerate, 1.0, denom_b)
-    safe_c = np.where(degenerate, 1.0, denom_c)
-    cos_b = np.clip((1.0 + b_mag**2 - c_mag**2) / safe_b, -1.0, 1.0)
-    cos_c = np.clip((1.0 + c_mag**2 - b_mag**2) / safe_c, -1.0, 1.0)
-    beta = np.where(degenerate, math.pi, math.pi - np.arccos(cos_b))
-    gamma = np.where(degenerate, math.pi, math.pi + np.arccos(cos_c))
-
-    phases = np.where(group == 0, beta[:, None], gamma[:, None])
-    phases[rows, dominant] = 0.0
-    # reprolint: disable-next=RL-P001 (exact-zero sentinel)
-    phases[amps == 0.0] = 0.0
-
-    polished, _residuals = _descend(amps, phases, tol, max_iterations)
-    return polished
 
 
 @dataclass(frozen=True)
@@ -379,35 +302,6 @@ class ChargerArray:
             path_phases.append(self.propagation.path_phase(d))
         return amplitudes, path_phases
 
-    def _path_quantities_many(
-        self, charger_position: Point, observations: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-element (amplitudes, path phases) at many observation points.
-
-        ``observations`` is an ``(m, 2)`` array of xy coordinates; both
-        returned arrays are ``(m, k)`` for a ``k``-element array.
-        """
-        obs = np.asarray(observations, dtype=float)
-        if obs.ndim != 2 or obs.shape[1] != 2:
-            raise ValueError(
-                f"observations must have shape (m, 2), got {obs.shape}"
-            )
-        elem_xy = np.array(
-            [(p.x, p.y) for p in self.element_positions(charger_position)],
-            dtype=float,
-        )
-        d = np.hypot(
-            obs[:, None, 0] - elem_xy[None, :, 0],
-            obs[:, None, 1] - elem_xy[None, :, 1],
-        )
-        amplitudes = np.empty_like(d)
-        for j, element in enumerate(self.elements):
-            amplitudes[:, j] = self.propagation.field_amplitude(
-                element.tx_power, d[:, j]
-            )
-        path_phases = self.propagation.path_phase(d)
-        return amplitudes, path_phases
-
     # ------------------------------------------------------------------
     # Fields and powers
     # ------------------------------------------------------------------
@@ -436,47 +330,6 @@ class ChargerArray:
     ) -> float:
         """Coherent RF power (watts) at the observation point."""
         return abs(self.field_at(observation, charger_position, emitted_phases)) ** 2
-
-    def fields_at_many(
-        self,
-        observations: np.ndarray,
-        charger_position: Point,
-        emitted_phases: np.ndarray | Sequence[float],
-    ) -> np.ndarray:
-        """Coherent field phasors at many observation points at once.
-
-        The batched counterpart of :meth:`field_at`.  ``observations`` is
-        an ``(m, 2)`` array of xy coordinates; ``emitted_phases`` is
-        either one ``(k,)`` phase vector shared by every observation or
-        an ``(m, k)`` array of per-observation vectors.  Returns the
-        ``(m,)`` complex field phasors.
-        """
-        observations = require_float64(observations, "observations")
-        phases = require_float64(emitted_phases, "emitted_phases")
-        if phases.ndim not in (1, 2) or phases.shape[-1] != self.size:
-            raise ValueError(
-                f"expected {self.size} phases per observation, "
-                f"got shape {phases.shape}"
-            )
-        amplitudes, path_phases = self._path_quantities_many(
-            charger_position, observations
-        )
-        if phases.ndim == 2 and phases.shape[0] != amplitudes.shape[0]:
-            raise ValueError(
-                f"got {phases.shape[0]} phase vectors for "
-                f"{amplitudes.shape[0]} observations"
-            )
-        return (amplitudes * np.exp(1j * (phases + path_phases))).sum(axis=1)
-
-    def rf_powers_at_many(
-        self,
-        observations: np.ndarray,
-        charger_position: Point,
-        emitted_phases: np.ndarray | Sequence[float],
-    ) -> np.ndarray:
-        """Coherent RF powers (watts) at many observation points at once."""
-        fields = self.fields_at_many(observations, charger_position, emitted_phases)
-        return np.abs(fields) ** 2
 
     # ------------------------------------------------------------------
     # Phase solvers
@@ -507,41 +360,6 @@ class ChargerArray:
             return self.beamform_phases(charger_position, target)
         if mode == "spoof":
             return self.spoof_phases(charger_position, target)
-        raise ValueError(f"unknown phase mode: {mode!r}")
-
-    def beamform_phases_many(
-        self, charger_position: Point, targets: np.ndarray
-    ) -> np.ndarray:
-        """Beamforming phases for many targets at once, ``(m, k)``."""
-        targets = require_float64(targets, "targets")
-        _, path_phases = self._path_quantities_many(charger_position, targets)
-        return -path_phases
-
-    def spoof_phases_many(
-        self, charger_position: Point, targets: np.ndarray
-    ) -> np.ndarray:
-        """Null-steering phases for many targets at once, ``(m, k)``.
-
-        One :func:`solve_null_phases_batch` call solves every target's
-        arrival phases; path compensation is then a single subtraction.
-        """
-        if self.size < 2:
-            raise ValueError("spoofing requires an array of at least two elements")
-        targets = require_float64(targets, "targets")
-        amplitudes, path_phases = self._path_quantities_many(
-            charger_position, targets
-        )
-        arrival_phases = solve_null_phases_batch(amplitudes)
-        return arrival_phases - path_phases
-
-    def phases_for_many(
-        self, mode: PhaseMode, charger_position: Point, targets: np.ndarray
-    ) -> np.ndarray:
-        """Per-target emission phase vectors for the requested mode."""
-        if mode == "beamform":
-            return self.beamform_phases_many(charger_position, targets)
-        if mode == "spoof":
-            return self.spoof_phases_many(charger_position, targets)
         raise ValueError(f"unknown phase mode: {mode!r}")
 
     # ------------------------------------------------------------------
@@ -584,15 +402,3 @@ class ChargerArray:
         phases = self.phases_for(mode, charger_position, target)
         pilot = self.pilot_point(target, charger_position)
         return self.rf_power_at(pilot, charger_position, phases)
-
-    def delivered_powers_many(
-        self,
-        mode: PhaseMode,
-        charger_position: Point,
-        targets: np.ndarray,
-        rectenna: Rectenna,
-    ) -> np.ndarray:
-        """Harvested DC powers (watts) at many victims' rectennas at once."""
-        phases = self.phases_for_many(mode, charger_position, targets)
-        rf = self.rf_powers_at_many(targets, charger_position, phases)
-        return rectenna.harvest(rf)

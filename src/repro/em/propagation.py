@@ -19,13 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.utils.validation import (
-    check_non_negative,
-    check_non_negative_array,
-    check_positive,
-)
+from repro.utils.validation import check_non_negative, check_positive
 
 __all__ = [
     "POWERCAST_FREQUENCY_HZ",
@@ -83,49 +77,30 @@ class FriisModel:
         """Carrier wavelength in metres."""
         return wavelength(self.frequency_hz)
 
-    def _clamped(self, distance: float | np.ndarray) -> float | np.ndarray:
-        if isinstance(distance, np.ndarray):
-            return np.maximum(
-                check_non_negative_array("distance", distance), self.min_distance
-            )
+    def _clamped(self, distance: float) -> float:
         check_non_negative("distance", distance)
         return max(distance, self.min_distance)
 
-    def received_power(
-        self, tx_power: float, distance: float | np.ndarray
-    ) -> float | np.ndarray:
-        """Friis received power at ``distance`` for transmit power ``tx_power``.
-
-        ``distance`` may be an ndarray; the result then has its shape
-        (elementwise, identical arithmetic to the scalar path).
-        """
+    def received_power(self, tx_power: float, distance: float) -> float:
+        """Friis received power at ``distance`` for transmit power ``tx_power``."""
         tx_power = check_non_negative("tx_power", tx_power)
         d = self._clamped(distance)
         factor = self.wavelength / (4.0 * math.pi * d)
         return tx_power * self.tx_gain * self.rx_gain * factor * factor
 
-    def field_amplitude(
-        self, tx_power: float, distance: float | np.ndarray
-    ) -> float | np.ndarray:
+    def field_amplitude(self, tx_power: float, distance: float) -> float:
         """Amplitude of the received field phasor, normalised so that the
-        squared amplitude equals the Friis received power.  Elementwise
-        over an ndarray of distances."""
-        power = self.received_power(tx_power, distance)
-        if isinstance(power, np.ndarray):
-            return np.sqrt(power)
-        return math.sqrt(power)
+        squared amplitude equals the Friis received power."""
+        return math.sqrt(self.received_power(tx_power, distance))
 
-    def path_phase(self, distance: float | np.ndarray) -> float | np.ndarray:
+    def path_phase(self, distance: float) -> float:
         """Phase accumulated along a path of the given length, in radians.
 
         Propagation delays phase, so the accumulated phase is negative:
         ``-2 pi d / lambda``.  The *unclamped* distance is used — phase has
-        no near-field singularity.  Elementwise over an ndarray.
+        no near-field singularity.
         """
-        if isinstance(distance, np.ndarray):
-            check_non_negative_array("distance", distance)
-        else:
-            check_non_negative("distance", distance)
+        check_non_negative("distance", distance)
         return -2.0 * math.pi * distance / self.wavelength
 
 

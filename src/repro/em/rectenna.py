@@ -76,7 +76,7 @@ class Rectenna:
         improving efficiency with drive level.
 
         Accepts an ndarray of powers and returns per-entry efficiencies
-        of the same shape (the batched path used by the EM kernels).
+        of the same shape (the path :func:`superposition_sweep` uses).
         """
         if isinstance(rf_power_w, np.ndarray):
             rf = check_non_negative_array("rf_power_w", rf_power_w)
@@ -91,8 +91,7 @@ class Rectenna:
         """Harvested DC power in watts for the given incident RF power.
 
         Elementwise over an ndarray of powers, one fused pass — the
-        batched counterpart feeding :func:`superposition_sweep` and the
-        charger-array power maps.
+        array path feeding :func:`superposition_sweep`.
         """
         if isinstance(rf_power_w, np.ndarray):
             rf = check_non_negative_array("rf_power_w", rf_power_w)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.utils.geometry import Point
 from repro.utils.validation import check_non_negative
@@ -90,24 +90,3 @@ def field_phasor(
     path_phase = -2.0 * math.pi * d / wavelength
     return phasor(amplitude_at_receiver, emitted_phase + path_phase)
 
-
-def phase_difference(a: complex, b: complex) -> float:
-    """Phase of ``a`` relative to ``b``, wrapped to (-pi, pi]."""
-    if a == 0 or b == 0:
-        raise ValueError("phase of a zero phasor is undefined")
-    diff = cmath.phase(a) - cmath.phase(b)
-    while diff <= -math.pi:
-        diff += 2.0 * math.pi
-    while diff > math.pi:
-        diff -= 2.0 * math.pi
-    return diff
-
-
-def normalized_phasors(amplitudes: Sequence[float], phases: Sequence[float]) -> list[complex]:
-    """Build a phasor list from parallel amplitude and phase sequences."""
-    if len(amplitudes) != len(phases):
-        raise ValueError(
-            f"amplitudes and phases must have equal length, "
-            f"got {len(amplitudes)} and {len(phases)}"
-        )
-    return [phasor(a, p) for a, p in zip(amplitudes, phases)]

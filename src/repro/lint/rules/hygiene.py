@@ -139,7 +139,7 @@ class NoScalarKernelListComp(Rule):
                 yield arg, (
                     "array built by calling a scalar kernel per element; "
                     "pass the array to the vectorized kernel instead "
-                    "(the repro.em batch APIs take ndarrays directly)"
+                    "(Rectenna.harvest and two_wave_rf_power take ndarrays directly)"
                 )
 
 

@@ -14,7 +14,6 @@ from repro.network.energy import RadioEnergyModel, node_power_w
 from repro.network.energy_ledger import EnergyLedger
 from repro.network.keynodes import KeyNodeInfo, identify_key_nodes
 from repro.network.node import SensorNode
-from repro.network.requests import ChargingRequest, predict_request
 from repro.network.routing import RoutingTree, build_routing_tree
 from repro.network.topology import BASE_STATION_ID, Deployment, deploy_uniform
 from repro.network.traffic import TrafficModel, relay_loads
@@ -194,17 +193,6 @@ class Network:
     def next_death_time(self) -> float:
         """Earliest predicted node death at current draws (``inf`` if none)."""
         return self.ledger.next_death_time()
-
-    def next_request(self) -> ChargingRequest | None:
-        """The earliest charging request any node will issue (or ``None``)."""
-        best: ChargingRequest | None = None
-        for _, node in sorted(self.nodes.items()):
-            request = predict_request(node)
-            if request is None:
-                continue
-            if best is None or request.time < best.time:
-                best = request
-        return best
 
     # ------------------------------------------------------------------
     # Aggregate views

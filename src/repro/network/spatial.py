@@ -101,11 +101,6 @@ class SpatialGridIndex:
         """Grid cell side, metres."""
         return self._cell
 
-    @property
-    def occupied_cells(self) -> int:
-        """Number of grid cells holding at least one point."""
-        return len(self._keys)
-
     # ------------------------------------------------------------------
     # Candidate gathering
     # ------------------------------------------------------------------

@@ -542,11 +542,6 @@ class JobQueue:
             raise UnknownCampaignError(f"unknown campaign {campaign_id!r}")
         return row
 
-    def spec_for(self, campaign_id: str) -> CampaignSpec:
-        """The spec a campaign was submitted with."""
-        row = self._campaign_row(campaign_id)
-        return CampaignSpec.from_dict(json.loads(row["spec_json"]))
-
     def campaign_status(self, campaign_id: str) -> dict[str, Any]:
         """Queue-side status: per-state job counts and liveness."""
         row = self._campaign_row(campaign_id)

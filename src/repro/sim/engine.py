@@ -111,16 +111,3 @@ class EventQueue:
                     continue
             return event
         return None
-
-    def peek_time(self) -> float | None:
-        """Time of the next live event without removing it."""
-        while self._heap:
-            event = self._heap[0]
-            if (
-                event.version_key is not None
-                and self._versions.get(event.version_key, 0) != event.version
-            ):
-                heapq.heappop(self._heap)
-                continue
-            return event.time
-        return None

@@ -8,8 +8,6 @@ processes (and downstream users) can import it.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.attack.attacker import CsaAttacker
 from repro.detection.auditors import default_detector_suite
 from repro.sim.actions import MissionController
@@ -28,8 +26,6 @@ def run_attack(
     detectors: bool = True,
     audit_interval_s: float | None = None,
     twin: bool = False,
-    hooks: Sequence[SimulationHook] = (),
-    stop_on_detection: bool = False,
 ) -> SimulationResult:
     """One attack (or benign) simulation with the standard wiring.
 
@@ -55,10 +51,6 @@ def run_attack(
         alongside the other detectors (works with ``detectors=False``
         too, giving a twin-only defence), with its observation feed
         published from the live engine.
-    hooks:
-        Extra :class:`~repro.sim.hooks.SimulationHook` observers.
-    stop_on_detection:
-        Halt the run at the first alarm (detection-latency experiments).
     """
     network = cfg.build_network(seed=seed)
     charger = cfg.build_charger()
@@ -69,7 +61,7 @@ def run_attack(
         if detectors
         else []
     )
-    all_hooks = list(hooks)
+    hooks: list[SimulationHook] = []
     if twin:
         # Imported lazily: sim is a lower layer than twin.
         from repro.twin.detector import TwinDetector
@@ -77,7 +69,7 @@ def run_attack(
 
         twin_detector = TwinDetector()
         suite = suite + [twin_detector]
-        all_hooks.append(SimStreamPublisher(twin_detector.stream))
+        hooks.append(SimStreamPublisher(twin_detector.stream))
     honest = [
         (cfg.build_charger(), BenignController())
         for _ in range(cfg.honest_chargers)
@@ -89,8 +81,7 @@ def run_attack(
         detectors=suite,
         horizon_s=cfg.horizon_s,
         extra_units=honest,
-        hooks=all_hooks,
+        hooks=hooks,
         arrival_model=cfg.build_arrival_model(seed),
-        stop_on_detection=stop_on_detection,
     )
     return sim.run()

@@ -62,9 +62,6 @@ class TwinDetector(Detector):
         The observation channel to subscribe to; a fresh private stream
         is created when omitted (wire a
         :class:`~repro.twin.feed.SimStreamPublisher` to ``.stream``).
-    record_scores:
-        Keep every :class:`AnomalyScore` in ``.scores`` (the benchmark
-        reads them); disable to save memory on very long runs.
     """
 
     name = "twin"
@@ -73,14 +70,12 @@ class TwinDetector(Detector):
         self,
         scorer: AnomalyScorer | None = None,
         stream: ObservationStream | None = None,
-        record_scores: bool = True,
     ) -> None:
         super().__init__()
         self.scorer = scorer or AnomalyScorer()
         self.stream = stream or ObservationStream()
         self.stream.subscribe(self._on_observation)
         self.predictor = TwinPredictor()
-        self.record_scores = record_scores
         self.scores: list[AnomalyScore] = []
         self.first_alarm: AnomalyScore | None = None
         self._pending: AnomalyScore | None = None
@@ -121,8 +116,7 @@ class TwinDetector(Detector):
 
     def _score(self, time: float, node_id: int, kind: str, residual: float) -> None:
         score = self.scorer.update(time, residual, node_id=node_id, kind=kind)
-        if self.record_scores:
-            self.scores.append(score)
+        self.scores.append(score)
         if score.alarmed and self.first_alarm is None:
             self.first_alarm = score
             self._pending = score

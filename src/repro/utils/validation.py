@@ -78,9 +78,8 @@ _NARROWED_DTYPES = (np.dtype(np.float16), np.dtype(np.float32), np.dtype(np.comp
 def require_float64(arr: Any, name: str) -> np.ndarray:
     """Return ``arr`` as a float64 ndarray, rejecting narrowed floats.
 
-    The vectorized kernels (:class:`~repro.network.energy_ledger.EnergyLedger`,
-    the :class:`~repro.em.charger_array.ChargerArray` batch APIs) must stay
-    bit-for-bit faithful to the paper's tables, which requires float64 end
+    The vectorized :class:`~repro.network.energy_ledger.EnergyLedger`
+    kernels must stay bit-for-bit faithful to the paper's tables, which requires float64 end
     to end.  Python scalars, sequences and integer arrays convert exactly
     and are accepted; float16/float32 (and complex64) input is *rejected*
     rather than silently widened, because the precision was already lost

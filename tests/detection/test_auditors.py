@@ -302,34 +302,5 @@ class TestSuite:
 
 
 class TestIncludeTwin:
-    def test_include_twin_appends_twin_detector(self):
-        suite = default_detector_suite(seed=1, include_twin=True)
-        assert [d.name for d in suite] == [
-            "death-after-charge",
-            "voltage-audit",
-            "trajectory-anomaly",
-            "neglect",
-            "twin",
-        ]
-
     def test_default_excludes_twin(self):
         assert "twin" not in {d.name for d in default_detector_suite(seed=1)}
-
-    def test_periodic_suite_byte_identical_with_flag_off(self):
-        # include_twin=False must not perturb the periodic suite in any
-        # way — same classes, same parameters, same RNG states, byte for
-        # byte.
-        import pickle
-
-        baseline = pickle.dumps(default_detector_suite(seed=9))
-        flagged = pickle.dumps(
-            default_detector_suite(seed=9, include_twin=False)
-        )
-        assert baseline == flagged
-
-    def test_twin_rides_alongside_unchanged_periodic_suite(self):
-        import pickle
-
-        with_twin = default_detector_suite(seed=9, include_twin=True)
-        baseline = pickle.dumps(default_detector_suite(seed=9))
-        assert pickle.dumps(with_twin[:-1]) == baseline

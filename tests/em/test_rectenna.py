@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.em.rectenna import Rectenna
@@ -53,6 +54,21 @@ class TestEfficiencyCurve:
     def test_rejects_zero_peak_efficiency(self):
         with pytest.raises(ValueError):
             Rectenna(peak_efficiency=0.0)
+
+
+class TestArrayInputs:
+    def test_rectenna_array_matches_scalar(self):
+        rect = Rectenna()
+        powers = np.array([0.0, 1e-6, 80e-6, 1e-3, 0.05, 5.0])
+        harvested = rect.harvest(powers)
+        efficiencies = rect.efficiency(powers)
+        for p, h, eta in zip(powers, harvested, efficiencies):
+            assert h == rect.harvest(float(p))
+            assert eta == rect.efficiency(float(p))
+
+    def test_rectenna_array_validation(self):
+        with pytest.raises(ValueError, match="rf_power_w"):
+            Rectenna().harvest(np.array([1e-3, -1e-3]))
 
 
 class TestFieldInterface:

@@ -38,6 +38,15 @@ class TestTwoWaveRfPower:
         for dphi in np.linspace(0, 2 * math.pi, 100):
             assert two_wave_rf_power(0.7, 0.7, float(dphi)) >= 0.0
 
+    def test_two_wave_rf_power_array_matches_scalar(self):
+        offsets = np.linspace(0.0, 2.0 * math.pi, 33)
+        batch = two_wave_rf_power(0.01, 0.004, offsets)
+        for d, p in zip(offsets, batch):
+            assert p == pytest.approx(
+                two_wave_rf_power(0.01, 0.004, float(d)), rel=1e-15, abs=0.0
+            )
+        assert batch.min() >= 0.0
+
 
 class TestSweep:
     def test_shapes_and_keys(self):

@@ -9,8 +9,6 @@ from repro.em.waves import (
     coherent_power,
     field_phasor,
     incoherent_power,
-    normalized_phasors,
-    phase_difference,
     phasor,
     superpose,
 )
@@ -75,24 +73,3 @@ class TestFieldPhasor:
     def test_rejects_bad_wavelength(self):
         with pytest.raises(ValueError):
             field_phasor(1.0, Point(0, 0), Point(1, 0), wavelength=0.0)
-
-
-class TestHelpers:
-    def test_phase_difference_wraps(self):
-        a = phasor(1.0, 3.0)
-        b = phasor(1.0, -3.0)
-        diff = phase_difference(a, b)
-        assert -math.pi < diff <= math.pi
-
-    def test_phase_difference_of_zero_undefined(self):
-        with pytest.raises(ValueError):
-            phase_difference(0j, phasor(1.0, 0.0))
-
-    def test_normalized_phasors_parallel_lists(self):
-        ps = normalized_phasors([1.0, 2.0], [0.0, math.pi])
-        assert abs(ps[0]) == pytest.approx(1.0)
-        assert abs(ps[1]) == pytest.approx(2.0)
-
-    def test_normalized_phasors_length_mismatch(self):
-        with pytest.raises(ValueError):
-            normalized_phasors([1.0], [0.0, 1.0])

@@ -106,12 +106,6 @@ class TestDynamics:
         )
         assert grid_network.next_death_time() == pytest.approx(expected)
 
-    def test_next_request_earliest(self, grid_network):
-        req = grid_network.next_request()
-        assert req is not None
-        for node in grid_network.nodes.values():
-            assert req.time <= node.predicted_request_time() + 1e-6
-
     def test_total_true_energy_decreases(self, grid_network):
         before = grid_network.total_true_energy()
         grid_network.advance_to(100.0)

@@ -62,24 +62,6 @@ class TestVersioning:
         assert q.current_version("k") == 2
 
 
-class TestPeek:
-    def test_peek_skips_stale(self):
-        q = EventQueue()
-        q.schedule(1.0, "old", version_key="k")
-        q.invalidate("k")
-        q.schedule(5.0, "live")
-        assert q.peek_time() == 5.0
-
-    def test_peek_empty(self):
-        assert EventQueue().peek_time() is None
-
-    def test_peek_does_not_remove(self):
-        q = EventQueue()
-        q.schedule(3.0, "x")
-        assert q.peek_time() == 3.0
-        assert q.pop().kind == "x"
-
-
 class TestValidation:
     def test_rejects_infinite_time(self):
         with pytest.raises(ValueError):

@@ -136,18 +136,6 @@ class TestObservationHandling:
         assert twin.scores == []
         assert twin.predictor.predicted_energy_j(0) == pytest.approx(80.0)
 
-    def test_record_scores_flag(self):
-        twin = TwinDetector(record_scores=False)
-        twin.stream.publish(
-            NetworkSnapshot(
-                time=0.0, capacity_j=(100.0,), believed_j=(100.0,),
-                consumption_w=(0.0,), alive=(True,),
-            )
-        )
-        twin.stream.publish(DeathObservation(time=1.0, node_id=0))
-        assert twin.scores == []
-        assert twin.first_alarm is not None  # still tracked
-
     def test_external_stream_is_honoured(self):
         stream = ObservationStream()
         twin = TwinDetector(stream=stream)

@@ -16,9 +16,9 @@ cost of a dropped diagnostic.
 A third timing runs the registry *minus* the concurrency pack
 (RL-C001..C005): the call-graph + CFG layers must not inflate a cold
 run beyond ``_PACK_OVERHEAD_CEILING`` of the pack-free time.  A fourth
-does the same for the array-semantics pack (RL-N001..N005): the
-abstract interpreter is gated to numpy-touching functions, so it too
-must stay within the ceiling.
+does the same for the array-semantics pack (RL-N001): a syntactic check
+riding the engine's one AST walk, so it too must stay within the
+ceiling.
 """
 
 import pathlib
@@ -41,10 +41,9 @@ _SPEEDUP_FLOOR = 1.3
 
 #: Maximum cold-serial slowdown an analysis pack (concurrency RL-C,
 #: array semantics RL-N) may cost relative to the same registry without
-#: it.  The call graph, CFGs, and the array interpreter are linear
-#: passes over ASTs the engine parses anyway — gated to the functions
-#: they apply to — so each must stay a fraction of total lint time, not
-#: a multiple of it.
+#: it.  The call graph, CFGs, and the narrow-dtype check are linear
+#: passes over ASTs the engine parses anyway, so each must stay a
+#: fraction of total lint time, not a multiple of it.
 _PACK_OVERHEAD_CEILING = 1.5
 
 #: Timed repetitions per mode; the minimum is reported to damp scheduler
@@ -54,15 +53,20 @@ _ROUNDS = 3
 _RESULTS: dict[str, float] = {}
 
 
-def _time_lint(cache_factory=None, engine=None):
-    engine = engine if engine is not None else LintEngine()
-    best = float("inf")
-    findings = None
-    for round_index in range(_ROUNDS):
-        cache = cache_factory(round_index) if cache_factory else None
-        start = time.perf_counter()
-        findings = engine.lint_paths([SRC_TREE], cache=cache)
-        best = min(best, time.perf_counter() - start)
+def _time_modes(modes):
+    """Best-of-``_ROUNDS`` wall time and the findings of each mode.
+
+    ``modes`` maps a name to ``(engine, cache)``.  The modes run
+    interleaved within each round, so a slow spell on a shared host
+    lands on every mode alike instead of on whichever mode it overlaps.
+    """
+    best = dict.fromkeys(modes, float("inf"))
+    findings = {}
+    for _ in range(_ROUNDS):
+        for name, (engine, cache) in modes.items():
+            start = time.perf_counter()
+            findings[name] = engine.lint_paths([SRC_TREE], cache=cache)
+            best[name] = min(best[name], time.perf_counter() - start)
     return best, findings
 
 
@@ -79,26 +83,29 @@ def _engine_without_pack(prefix):
 
 
 def bench_lint_modes(tmp_path, benchmark):
-    serial_s, serial_findings = _time_lint()
-
     warm_cache = LintCache(tmp_path / "warm", ruleset_signature())
-    engine = LintEngine()
-    engine.lint_paths([SRC_TREE], cache=warm_cache)  # populate
-    warm_s, warm_findings = _time_lint(cache_factory=lambda _i: warm_cache)
+    LintEngine().lint_paths([SRC_TREE], cache=warm_cache)  # populate
+    seconds, findings = _time_modes(
+        {
+            "cold serial": (LintEngine(), None),
+            "warm cached": (LintEngine(), warm_cache),
+            "cold serial (no RL-C pack)": (_engine_without_pack("RL-C"), None),
+            "cold serial (no RL-N pack)": (_engine_without_pack("RL-N"), None),
+        }
+    )
     assert warm_cache.hits > 0
 
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
+    serial_findings = findings["cold serial"]
     as_rows = lambda fs: [f.format() for f in fs]  # noqa: E731
-    assert as_rows(warm_findings) == as_rows(serial_findings)
+    assert as_rows(findings["warm cached"]) == as_rows(serial_findings)
 
-    no_c_s, _ = _time_lint(engine=_engine_without_pack("RL-C"))
-    no_n_s, _ = _time_lint(engine=_engine_without_pack("RL-N"))
-
-    _RESULTS["cold serial"] = serial_s
-    _RESULTS["warm cached"] = warm_s
-    _RESULTS["cold serial (no RL-C pack)"] = no_c_s
-    _RESULTS["cold serial (no RL-N pack)"] = no_n_s
+    _RESULTS.update(seconds)
+    serial_s = seconds["cold serial"]
+    warm_s = seconds["warm cached"]
+    no_c_s = seconds["cold serial (no RL-C pack)"]
+    no_n_s = seconds["cold serial (no RL-N pack)"]
 
     speedup = serial_s / warm_s
     assert speedup >= _SPEEDUP_FLOOR, (

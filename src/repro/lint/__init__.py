@@ -11,9 +11,14 @@ An AST-based lint engine with rule packs tailored to this codebase:
   physical layers, no dBm/watt arithmetic mixing (suffix-level and
   inferred across assignments/call boundaries), validated numeric
   constructor parameters;
-* **API hygiene** (``RL-H...``): no mutable defaults, no bare ``except``,
-  ``__all__`` in public modules (and only real, consumed names in it),
-  no builtin shadowing in signatures, no top-level import cycles.
+* **API hygiene** (``RL-H...``): ``__all__`` in public modules (and only
+  real, consumed names in it), no builtin shadowing in signatures, no
+  per-element scalar-kernel loops into ``np.array``, no top-level import
+  cycles (mutable defaults and bare ``except`` are ruff's ``B006``/
+  ``B008``/``E722``);
+* **array semantics** (``RL-N001``): no narrow NumPy dtype (``float32``,
+  ``int32``, ...) in the bit-for-bit layers ``em/``, ``network/``,
+  ``core/``, ``twin/`` — a syntactic per-file check.
 
 * **concurrency / resource safety** (``RL-C...``): sqlite connections
   crossing threads, unguarded shared writes, non-reentrant calls in

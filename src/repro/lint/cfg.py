@@ -27,7 +27,7 @@ their bodies get their own CFGs.
 from __future__ import annotations
 
 import ast
-from typing import Callable, FrozenSet, Iterable, Sequence
+from typing import Callable, FrozenSet, Sequence
 
 __all__ = ["CFG", "CFGNode", "build_cfg"]
 
@@ -66,14 +66,9 @@ class CFG:
                 preds[succ].append(node.id)
         return preds
 
-    def statement_nodes(self) -> Iterable[CFGNode]:
-        """The non-sentinel nodes, in creation (roughly source) order."""
-        return (node for node in self.nodes if node.kind == "stmt")
-
     def forward_may(
         self,
         transfer: Callable[[ast.stmt, FrozenSet[str]], FrozenSet[str]],
-        init: FrozenSet[str] = frozenset(),
     ) -> tuple[dict[int, FrozenSet[str]], dict[int, FrozenSet[str]]]:
         """Solve a forward *may* dataflow problem to fixpoint.
 
@@ -87,7 +82,6 @@ class CFG:
             node.id: frozenset() for node in self.nodes
         }
         out_sets: dict[int, FrozenSet[str]] = dict(in_sets)
-        in_sets[self.entry.id] = init
         by_id = {node.id: node for node in self.nodes}
         visited: set[int] = set()
         worklist = [self.entry.id]

@@ -43,7 +43,9 @@ __all__ = [
 #: entries written by an older rule set are never reused.
 #: 3: concurrency pack (RL-C001..C005) + ``ignore[...]`` suppressions.
 #: 4: array-semantics pack (RL-N001..N005).
-RULESET_VERSION = "4"
+#: 5: array-semantics pack cut to a syntactic RL-N001; the mutable-default
+#:    and bare-except rules handed to ruff.
+RULESET_VERSION = "5"
 
 _RULE_ID_PATTERN = re.compile(r"^RL-[A-Z]\d{3}$")
 

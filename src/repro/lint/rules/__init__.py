@@ -20,17 +20,9 @@ from repro.lint.rules.determinism import (
     NoUnseededDefaultRng,
     NoWallClockSeeding,
 )
-from repro.lint.rules.numerics import (
-    AliasedInPlaceWrite,
-    DtypeNarrowing,
-    PlatformIntOverflow,
-    UnguardedEmptyReduction,
-    UnintendedBroadcast,
-)
+from repro.lint.rules.numerics import DtypeNarrowing
 from repro.lint.rules.hygiene import (
-    NoBareExcept,
     NoBuiltinShadowing,
-    NoMutableDefaults,
     NoScalarKernelListComp,
     PublicModuleHasAll,
 )
@@ -42,26 +34,20 @@ from repro.lint.rules.physics import (
 
 __all__ = [
     "AcquireWithoutRelease",
-    "AliasedInPlaceWrite",
     "DtypeNarrowing",
-    "NoBareExcept",
     "NoBuiltinShadowing",
     "NoFloatEquality",
     "NoHandRolledSeedCoercion",
     "NoLegacyGlobalRng",
     "NoMixedDbWattArithmetic",
-    "NoMutableDefaults",
     "NoScalarKernelListComp",
     "NoUnseededDefaultRng",
     "NoWallClockSeeding",
-    "PlatformIntOverflow",
     "PublicModuleHasAll",
     "ResourceLeakOnPath",
     "SignalHandlerUnsafeCall",
     "SqliteCrossThread",
-    "UnguardedEmptyReduction",
     "UnguardedSharedWrite",
-    "UnintendedBroadcast",
     "ValidatedPhysicalConstructors",
     "concurrency",
     "determinism",

@@ -749,8 +749,13 @@ class AcquireWithoutRelease(Rule):
     title = "threads are joined; acquire is paired with try/finally release"
     node_types = (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef)
 
+    #: A module can only have a finding if its text names a thread-like
+    #: constructor or calls ``acquire``; the rest of the tree skips the
+    #: per-scope walks, which otherwise dominate the pack's cost.
+    _TRIGGERS = ("acquire", *sorted({c.rsplit(".", 1)[1] for c in _THREADLIKE_CTORS}))
+
     def applies_to(self, ctx: "ModuleContext") -> bool:
-        return not ctx.is_test_code
+        return not ctx.is_test_code and any(t in ctx.source for t in self._TRIGGERS)
 
     def check(
         self, node: ast.AST, ctx: "ModuleContext"

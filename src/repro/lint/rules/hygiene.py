@@ -1,10 +1,10 @@
-"""API hygiene rule pack (RL-H001..RL-H005).
+"""API hygiene rule pack (RL-H003..RL-H005).
 
-Language-level footguns that bite library consumers: shared mutable
-defaults, exception handlers that swallow ``KeyboardInterrupt``, public
-modules without an explicit export surface, signatures that shadow
-builtins, and per-element Python loops feeding ``np.array`` in hot-path
-numeric code.
+Language-level footguns that bite library consumers: public modules
+without an explicit export surface, signatures that shadow builtins,
+and per-element Python loops feeding ``np.array`` in hot-path numeric
+code.  Mutable/call defaults and bare ``except:`` are ruff's
+``B006``/``B008`` and ``E722``, enforced by the CI ``ruff check .`` job.
 """
 
 from __future__ import annotations
@@ -17,14 +17,10 @@ from repro.lint.engine import ModuleContext
 from repro.lint.registry import Rule, register
 
 __all__ = [
-    "NoBareExcept",
     "NoBuiltinShadowing",
-    "NoMutableDefaults",
     "NoScalarKernelListComp",
     "PublicModuleHasAll",
 ]
-
-_MUTABLE_CALLS = {"list", "dict", "set"}
 
 _BUILTIN_NAMES = frozenset(
     name for name in dir(builtins) if not name.startswith("_")
@@ -33,56 +29,9 @@ _BUILTIN_NAMES = frozenset(
 _FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
-def _all_defaults(args: ast.arguments) -> list[ast.expr]:
-    return [d for d in (*args.defaults, *args.kw_defaults) if d is not None]
-
-
 def _all_params(args: ast.arguments) -> list[ast.arg]:
     extras = [a for a in (args.vararg, args.kwarg) if a is not None]
     return [*args.posonlyargs, *args.args, *args.kwonlyargs, *extras]
-
-
-@register
-class NoMutableDefaults(Rule):
-    """RL-H001: a mutable default is evaluated once and shared by every
-    call — mutation in one call leaks into all later calls."""
-
-    rule_id = "RL-H001"
-    title = "no mutable default arguments"
-    node_types = _FUNCTION_NODES
-
-    def check(self, node: ast.AST, ctx: ModuleContext) -> Iterator[tuple[ast.AST, str]]:
-        assert isinstance(node, _FUNCTION_NODES)
-        for default in _all_defaults(node.args):
-            mutable = isinstance(default, (ast.List, ast.Dict, ast.Set)) or (
-                isinstance(default, ast.Call)
-                and isinstance(default.func, ast.Name)
-                and default.func.id in _MUTABLE_CALLS
-                and not default.args
-                and not default.keywords
-            )
-            if mutable:
-                yield default, (
-                    "mutable default argument is shared across calls; "
-                    "default to None and create the object in the body"
-                )
-
-
-@register
-class NoBareExcept(Rule):
-    """RL-H002: ``except:`` catches ``SystemExit``/``KeyboardInterrupt``
-    and hides real bugs; catch ``Exception`` or something narrower."""
-
-    rule_id = "RL-H002"
-    title = "no bare except clauses"
-    node_types = (ast.ExceptHandler,)
-
-    def check(self, node: ast.ExceptHandler, ctx: ModuleContext) -> Iterator[tuple[ast.AST, str]]:
-        if node.type is None:
-            yield node, (
-                "bare `except:` swallows SystemExit and KeyboardInterrupt; "
-                "catch Exception or a narrower type"
-            )
 
 
 @register

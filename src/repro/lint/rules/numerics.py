@@ -1,156 +1,89 @@
-"""Array-semantics rules (RL-N001..RL-N005).
+"""Array-semantics rule pack (RL-N001).
 
-PRs 3 and 8 turned the hot paths into NumPy SoA kernels whose results
-must stay bit-for-bit faithful to the paper's tables, and the bug
-classes that silently break that fidelity are array-semantic: dtype
-narrowing, unintended broadcasting, in-place writes through views,
-empty-array reductions, and integer overflow in grid-key arithmetic.
-
-All five rules are thin project rules over the shared
-:class:`~repro.lint.arrays.ArrayAnalysis` — the abstract interpreter
-runs once per function (CFG fixpoint + reporting pass) and each rule
-filters its event kind, so adding a rule never adds an interpretation:
-
-* **RL-N001** silent dtype narrowing on a float64-carrying path
-  (``astype(np.float32)``, narrowing ``asarray(dtype=...)``, int/int
-  true division, mixed-dtype ``np.where``), scoped to the bit-for-bit
-  layers ``em/``, ``network/``, ``core/``, ``twin/``;
-* **RL-N002** unintended broadcast — binary ops whose symbolic shapes
-  unify only by stretching *both* operands (the ``(N,) op (N, 1)``
-  outer-product blowup), unless an operand carries an explicit
-  axis-insertion (``[:, None]``, ``keepdims=True``);
-* **RL-N003** in-place mutation of a value whose may-alias set reaches
-  a function parameter or another live local through a view chain —
-  the exact bug class the spatial-grid half-neighbourhood join dodges;
-* **RL-N004** unguarded reductions (``min``/``max``/``argmin``/
-  ``mean``/...) over arrays that may be empty along the reduced axis,
-  with no dominating size guard;
-* **RL-N005** overflow-prone integer index arithmetic — products/sums
-  of int32/platform-int values (composite grid keys) without an
-  ``np.int64`` cast.
+Of the hazards planted into the real kernels to measure the pack, the
+only one a rule caught and the tests and goldens missed was a narrowing
+cast (an int32 grid-key cast overflows only far past every pinned field
+size).  A syntactic check catches it, so the pack is one per-file rule
+with no dataflow.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import ClassVar, Iterator
+from typing import Iterator
 
-from repro.lint.arrays import iter_module_events
-from repro.lint.project import ModuleRecord, ProjectModel
-from repro.lint.registry import ProjectRule, register_project
+from repro.lint.engine import ModuleContext
+from repro.lint.registry import Rule, register
 
-__all__ = [
-    "AliasedInPlaceWrite",
-    "DtypeNarrowing",
-    "PlatformIntOverflow",
-    "UnguardedEmptyReduction",
-    "UnintendedBroadcast",
-]
+__all__ = ["DtypeNarrowing"]
 
-
-class _ArrayEventRule(ProjectRule):
-    """Report every :class:`~repro.lint.arrays.ArrayEvent` of one kind."""
-
-    #: Event kind this rule consumes from the shared analysis.
-    event_kind: ClassVar[str] = ""
-
-    def _applies_to(self, record: ModuleRecord) -> bool:
-        return not record.is_test_code
-
-    def check_project(
-        self, project: ProjectModel
-    ) -> Iterator[tuple[str, ast.AST | int | None, str]]:
-        for record in sorted(project, key=lambda r: r.path):
-            if not self._applies_to(record):
-                continue
-            for event in iter_module_events(project, record, self.event_kind):
-                yield record.path, event.node, event.message
+_NARROW_DTYPES = frozenset(
+    {
+        "float16",
+        "float32",
+        "complex64",
+        "half",
+        "single",
+        "int8",
+        "int16",
+        "int32",
+        "intc",
+        "uint8",
+        "uint16",
+        "uint32",
+    }
+)
 
 
-@register_project
-class DtypeNarrowing(_ArrayEventRule):
-    """RL-N001: no silent dtype narrowing on float64-carrying paths.
+def _narrow_message(dtype: str) -> str:
+    return (
+        f"narrow dtype `{dtype}` in a bit-for-bit layer; keep float64/int64 "
+        "end to end (cast in analysis code outside em/, network/, core/, "
+        "twin/ if a narrow copy is really needed)"
+    )
 
-    The equivalence contract (exp01-04 tables, grid-vs-dense bitwise
-    tests) holds only while every arithmetic step stays float64; one
-    ``astype(np.float32)`` — or an int/int true division whose float64
-    result masks an intended integer path — quietly diverges the tables
-    by an ulp that snowballs across 10^6-event runs.  Scoped to the
-    bit-for-bit layers; analysis code outside them may downcast freely.
+
+@register
+class DtypeNarrowing(Rule):
+    """RL-N001: no narrow NumPy dtypes in the bit-for-bit layers.
+
+    Flags every expression that resolves to a narrow NumPy dtype
+    (``np.float32``, ``numpy.int32``, ``from numpy import half``, ...)
+    and the same names as string literals passed as ``dtype=`` or to
+    ``.astype(...)``.  One float32 cast diverges the golden traces by an
+    ulp that snowballs across a run; one int32 cast on composite grid
+    keys overflows silently at large fields.  The check is syntactic:
+    it does not flag int/int true division or mixed-dtype ``np.where``,
+    which need dtype inference to see.
     """
 
     rule_id = "RL-N001"
-    title = "silent dtype narrowing on a float64-carrying path"
-    event_kind = "narrow"
+    title = "narrow NumPy dtype on a float64-carrying path"
+    node_types = (ast.Attribute, ast.Name, ast.Call)
 
-    def _applies_to(self, record: ModuleRecord) -> bool:
-        return not record.is_test_code and record.ctx.has_dir(
-            "em", "network", "core", "twin"
-        )
+    def applies_to(self, ctx: ModuleContext) -> bool:
+        return not ctx.is_test_code and ctx.has_dir("em", "network", "core", "twin")
 
+    def check(self, node: ast.AST, ctx: ModuleContext) -> Iterator[tuple[ast.AST, str]]:
+        if isinstance(node, ast.Call):
+            yield from self._string_dtypes(node)
+            return
+        resolved = ctx.resolve_call_name(node)
+        if resolved is None or not resolved.startswith("numpy."):
+            return
+        dtype = resolved[len("numpy."):]
+        if dtype in _NARROW_DTYPES:
+            yield node, _narrow_message(f"np.{dtype}")
 
-@register_project
-class UnintendedBroadcast(_ArrayEventRule):
-    """RL-N002: no mutual-stretch broadcasts.
-
-    ``(N,) op (N, 1)`` silently materialises ``(N, N)`` — 80 GB at
-    N = 10^5 — and usually signals a missing axis rather than an
-    intended outer product.  Deliberate outer products announce
-    themselves with an explicit axis insertion (``x[:, None]``,
-    ``keepdims=True``), which the analysis tracks and exempts.
-    """
-
-    rule_id = "RL-N002"
-    title = "binary op broadcasts by stretching both operands"
-    event_kind = "broadcast"
-
-
-@register_project
-class AliasedInPlaceWrite(_ArrayEventRule):
-    """RL-N003: no in-place writes through a may-alias of live data.
-
-    Slicing, ``reshape``, ``ravel`` and ``.T`` return *views*; an
-    in-place write through one (``arr[...] =``, ``+=``, ``out=``,
-    ``.fill``/``.sort``) also rewrites the parameter or sibling local
-    it aliases.  The spatial-grid half-neighbourhood join exists
-    precisely because a careless in-place variant corrupted shared key
-    arrays — this rule makes that review lesson mechanical.
-    """
-
-    rule_id = "RL-N003"
-    title = "in-place mutation of a value aliasing live data"
-    event_kind = "alias-write"
-
-
-@register_project
-class UnguardedEmptyReduction(_ArrayEventRule):
-    """RL-N004: reductions over possibly-empty arrays need a size guard.
-
-    ``min``/``max``/``argmin``/``mean`` raise ``ValueError`` on an
-    empty operand, and empty inputs are routine here (a depleted
-    network has no live nodes; a fresh route has no visits).  The rule
-    fires when the reduced axis may be zero — a 0 literal, a size
-    symbol with no positivity evidence, or externally supplied data —
-    and no dominating ``len(x)``/``x.size``/``x.any()`` guard protects
-    the reduction.
-    """
-
-    rule_id = "RL-N004"
-    title = "unguarded reduction over a possibly-empty array"
-    event_kind = "empty-reduce"
-
-
-@register_project
-class PlatformIntOverflow(_ArrayEventRule):
-    """RL-N005: widen platform-int index arithmetic before it overflows.
-
-    ``np.arange``'s default dtype is the *platform* int — 32-bit on
-    32-bit builds — and composite grid keys (``cx * stride + cy``)
-    exceed 2^31 beyond ~10^5 cells per side.  Products and sums of
-    int32/platform-int operands must cast through ``np.int64`` first,
-    as the spatial index's key decomposition already does.
-    """
-
-    rule_id = "RL-N005"
-    title = "overflow-prone platform-int index arithmetic"
-    event_kind = "int-overflow"
+    @staticmethod
+    def _string_dtypes(call: ast.Call) -> Iterator[tuple[ast.AST, str]]:
+        literals = [kw.value for kw in call.keywords if kw.arg == "dtype"]
+        if isinstance(call.func, ast.Attribute) and call.func.attr == "astype":
+            literals += call.args[:1]
+        for literal in literals:
+            if (
+                isinstance(literal, ast.Constant)
+                and isinstance(literal.value, str)
+                and literal.value in _NARROW_DTYPES
+            ):
+                yield literal, _narrow_message(repr(literal.value))

@@ -78,7 +78,7 @@ def covered_fraction_of_points(
             dist_sq = (deltas**2).sum(axis=-1)
             # Writing through the view IS the point: block_covered is a
             # window into `covered`, so the slab results land in place.
-            block_covered[todo] |= (  # reprolint: ignore[RL-N003]
+            block_covered[todo] |= (
                 dist_sq <= radius_sq
             ).any(axis=1)
     return float(covered.mean())

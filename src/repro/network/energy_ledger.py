@@ -212,9 +212,9 @@ class EnergyLedger:
         clock = self.clock
         # The ledger always holds >= 1 slot (enforced in __init__), so
         # these reductions can never see an empty array.
-        max_clock = float(clock.max())  # reprolint: ignore[RL-N004]
+        max_clock = float(clock.max())
         if time < max_clock - _CLOCK_TOL:
-            slot = int(clock.argmax())  # reprolint: ignore[RL-N004]
+            slot = int(clock.argmax())
             raise ValueError(
                 f"cannot advance slot {slot} to {time} "
                 f"(clock already at {float(clock[slot])})"

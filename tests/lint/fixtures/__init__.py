@@ -289,81 +289,6 @@ RULE_FIXTURES: tuple[RuleFixture, ...] = (
         ),
     ),
     RuleFixture(
-        rule_id="RL-H001",
-        path="src/repro/analysis/snippet.py",
-        bad=_src(
-            """
-            __all__ = ["extend"]
-
-
-            def extend(item: int, acc: list = []) -> list:
-                acc.append(item)
-                return acc
-            """
-        ),
-        good=_src(
-            """
-            __all__ = ["extend"]
-
-
-            def extend(item: int, acc: list | None = None) -> list:
-                acc = [] if acc is None else acc
-                acc.append(item)
-                return acc
-            """
-        ),
-        suppressed=_src(
-            """
-            __all__ = ["extend"]
-
-
-            def extend(item: int, acc: list = []) -> list:  # reprolint: disable=RL-H001
-                acc.append(item)
-                return acc
-            """
-        ),
-    ),
-    RuleFixture(
-        rule_id="RL-H002",
-        path="src/repro/analysis/snippet.py",
-        bad=_src(
-            """
-            __all__ = ["swallow"]
-
-
-            def swallow(fn) -> object:
-                try:
-                    return fn()
-                except:
-                    return None
-            """
-        ),
-        good=_src(
-            """
-            __all__ = ["swallow"]
-
-
-            def swallow(fn) -> object:
-                try:
-                    return fn()
-                except Exception:
-                    return None
-            """
-        ),
-        suppressed=_src(
-            """
-            __all__ = ["swallow"]
-
-
-            def swallow(fn) -> object:
-                try:
-                    return fn()
-                except:  # reprolint: disable=RL-H002
-                    return None
-            """
-        ),
-    ),
-    RuleFixture(
         rule_id="RL-H003",
         path="src/repro/analysis/snippet.py",
         bad=_src(

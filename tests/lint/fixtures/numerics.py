@@ -1,11 +1,15 @@
-"""Per-rule fixtures for the array-semantics pack (RL-N001..RL-N005).
+"""Fixtures for the array-semantics pack (RL-N001).
 
-Separate from the main table because each snippet must carry enough
-array context (allocations, annotations, shapes) for the abstract
-interpreter to reason about, and every ``suppressed`` variant exercises
-the bracketed ``# reprolint: ignore[...]`` suppression alias the pack's
-in-tree exemptions use.  RL-N001 is scoped to the bit-for-bit layers,
-so its fixture lives under ``em/``; the others are project-wide.
+RL-N001 is scoped to the bit-for-bit layers, so its fixture lives under
+``em/``; the ``suppressed`` variant exercises the bracketed
+``# reprolint: ignore[...]`` suppression alias.
+
+:data:`NARROWING_PLANTINGS` are the narrowing hazards planted into real
+kernels when the pack was measured, cut down to the planted line and its
+inputs and linted under the kernel's own path.  Each must fire RL-N001
+exactly once, on the line holding ``hazard``.  The float32 casts also
+break the golden traces; the int32 grid-key cast breaks no test at the
+pinned field sizes, so this rule is the only check that sees it.
 """
 
 from __future__ import annotations
@@ -50,168 +54,61 @@ NUMERICS_FIXTURES: tuple[RuleFixture, ...] = (
             """
         ),
     ),
-    RuleFixture(
-        rule_id="RL-N002",
-        path="src/repro/analysis/snippet.py",
-        bad=_src(
-            """
-            import numpy as np
-
-            __all__ = ["gaps"]
-
-
-            def gaps(n: int) -> np.ndarray:
-                xs = np.zeros(n, dtype=np.float64)
-                ys = np.zeros((n, 1), dtype=np.float64)
-                return xs - ys
-            """
-        ),
-        good=_src(
-            """
-            import numpy as np
-
-            __all__ = ["gaps"]
-
-
-            def gaps(n: int) -> np.ndarray:
-                xs = np.zeros(n, dtype=np.float64)
-                return xs[:, None] - xs[None, :]
-            """
-        ),
-        suppressed=_src(
-            """
-            import numpy as np
-
-            __all__ = ["gaps"]
-
-
-            def gaps(n: int) -> np.ndarray:
-                xs = np.zeros(n, dtype=np.float64)
-                ys = np.zeros((n, 1), dtype=np.float64)
-                return xs - ys  # reprolint: ignore[RL-N002]
-            """
-        ),
-    ),
-    RuleFixture(
-        rule_id="RL-N003",
-        path="src/repro/analysis/snippet.py",
-        bad=_src(
-            """
-            import numpy as np
-
-            __all__ = ["zero_head"]
-
-
-            def zero_head(samples: np.ndarray) -> np.ndarray:
-                head = samples[0:8]
-                head[:] = 0.0
-                return head
-            """
-        ),
-        good=_src(
-            """
-            import numpy as np
-
-            __all__ = ["zero_head"]
-
-
-            def zero_head(samples: np.ndarray) -> np.ndarray:
-                head = samples[0:8].copy()
-                head[:] = 0.0
-                return head
-            """
-        ),
-        suppressed=_src(
-            """
-            import numpy as np
-
-            __all__ = ["zero_head"]
-
-
-            def zero_head(samples: np.ndarray) -> np.ndarray:
-                head = samples[0:8]
-                head[:] = 0.0  # reprolint: ignore[RL-N003]
-                return head
-            """
-        ),
-    ),
-    RuleFixture(
-        rule_id="RL-N004",
-        path="src/repro/analysis/snippet.py",
-        bad=_src(
-            """
-            import numpy as np
-
-            __all__ = ["hottest"]
-
-
-            def hottest(readings: np.ndarray) -> float:
-                return float(readings.max())
-            """
-        ),
-        good=_src(
-            """
-            import numpy as np
-
-            __all__ = ["hottest"]
-
-
-            def hottest(readings: np.ndarray) -> float:
-                if readings.size == 0:
-                    return 0.0
-                return float(readings.max())
-            """
-        ),
-        suppressed=_src(
-            """
-            import numpy as np
-
-            __all__ = ["hottest"]
-
-
-            def hottest(readings: np.ndarray) -> float:
-                return float(readings.max())  # reprolint: ignore[RL-N004]
-            """
-        ),
-    ),
-    RuleFixture(
-        rule_id="RL-N005",
-        path="src/repro/analysis/snippet.py",
-        bad=_src(
-            """
-            import numpy as np
-
-            __all__ = ["cell_keys"]
-
-
-            def cell_keys(n: int) -> np.ndarray:
-                cols = np.arange(n)
-                return cols * 100000
-            """
-        ),
-        good=_src(
-            """
-            import numpy as np
-
-            __all__ = ["cell_keys"]
-
-
-            def cell_keys(n: int) -> np.ndarray:
-                cols = np.arange(n, dtype=np.int64)
-                return cols * 100000
-            """
-        ),
-        suppressed=_src(
-            """
-            import numpy as np
-
-            __all__ = ["cell_keys"]
-
-
-            def cell_keys(n: int) -> np.ndarray:
-                cols = np.arange(n)
-                return cols * 100000  # reprolint: ignore[RL-N005]
-            """
-        ),
-    ),
 )
+
+#: name -> ``(path, source, hazard)``: RL-N001 must fire once, on the
+#: line of ``source`` that contains ``hazard``.
+NARROWING_PLANTINGS: dict[str, tuple[str, str, str]] = {
+    "ledger-drained-float32": (
+        "src/repro/network/energy_ledger.py",
+        _src(
+            """
+            import numpy as np
+
+            __all__ = ["drained_energy"]
+
+
+            def drained_energy(
+                consumption_w: np.ndarray, clock: np.ndarray, time: float
+            ) -> np.ndarray:
+                dt = np.maximum(0.0, time - clock)
+                return (consumption_w * dt).astype(np.float32)
+            """
+        ),
+        "astype(np.float32)",
+    ),
+    "spatial-dist-float32": (
+        "src/repro/network/spatial.py",
+        _src(
+            """
+            import numpy as np
+
+            __all__ = ["pair_distances"]
+
+
+            def pair_distances(deltas: np.ndarray) -> np.ndarray:
+                dist = np.sqrt(deltas[:, 0] ** 2 + deltas[:, 1] ** 2)
+                return dist.astype(np.float32)
+            """
+        ),
+        "astype(np.float32)",
+    ),
+    "spatial-grid-key-int32": (
+        "src/repro/network/spatial.py",
+        _src(
+            """
+            import numpy as np
+
+            __all__ = ["grid_keys"]
+
+
+            def grid_keys(
+                pts: np.ndarray, origin: np.ndarray, cell: float, stride: int
+            ) -> np.ndarray:
+                cells = np.floor((pts - origin) / cell).astype(np.int32)
+                return cells[:, 0] * stride + cells[:, 1]
+            """
+        ),
+        "astype(np.int32)",
+    ),
+}

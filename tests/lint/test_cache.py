@@ -7,7 +7,7 @@ from repro.lint.cache import source_digest
 from repro.lint.findings import Finding
 from repro.lint.registry import ruleset_signature
 
-_DIRTY = "def f(acc=[]):\n    return acc\n"
+_DIRTY = "def f(id):\n    return id\n"
 
 
 def _cache(tmp_path):
@@ -19,7 +19,7 @@ class TestCacheBasics:
         cache = _cache(tmp_path)
         finding = Finding(
             path="src/repro/x.py", line=3, col=4,
-            rule_id="RL-H001", message="msg",
+            rule_id="RL-H004", message="msg",
         )
         assert cache.get("src/repro/x.py", "source") is None
         cache.put("src/repro/x.py", "source", [finding])

@@ -57,12 +57,6 @@ class TestStructure:
         assert {"entry", "exit", "stmt"} == kinds
         assert cfg.entry.stmt is None and cfg.exit.stmt is None
 
-    def test_statement_nodes_excludes_sentinels(self):
-        cfg = _cfg("def f():\n    x = 1\n    y = 2\n")
-        stmts = list(cfg.statement_nodes())
-        assert len(stmts) == 2
-        assert all(node.kind == "stmt" for node in stmts)
-
     def test_predecessors_invert_successors(self):
         cfg = _cfg("def f():\n    if c:\n        x = 1\n    y = 2\n")
         preds = cfg.predecessors()
@@ -288,15 +282,10 @@ class TestSolver:
         cfg = _cfg("def f():\n    h = acquire()\n    release(h)\n")
         in_sets, out_sets = cfg.forward_may(_transfer)
         gen_node = next(
-            n for n in cfg.statement_nodes() if isinstance(n.stmt, ast.Assign)
+            n for n in cfg.nodes if isinstance(n.stmt, ast.Assign)
         )
         assert out_sets[gen_node.id] == frozenset({"h"})
         assert in_sets[cfg.exit.id] == frozenset()
-
-    def test_init_facts_flow_from_entry(self):
-        cfg = _cfg("def f():\n    use()\n")
-        in_sets, _ = cfg.forward_may(_transfer, init=frozenset({"seed"}))
-        assert in_sets[cfg.exit.id] == frozenset({"seed"})
 
     def test_loop_reaches_a_fixpoint(self):
         # A loop that re-acquires under a different name every pass must

@@ -22,16 +22,16 @@ class TestLintCommand:
 
     def test_findings_exit_one_with_report_lines(self, tmp_path, capsys):
         path = _write_pkg(
-            tmp_path, "dirty.py", "def f(acc=[]):\n    return acc\n"
+            tmp_path, "dirty.py", "def f(id):\n    return id\n"
         )
         assert main(["lint", path]) == 1
         out = capsys.readouterr().out
-        assert "RL-H001" in out
+        assert "RL-H004" in out
         assert "dirty.py" in out
 
     def test_json_format_is_machine_readable(self, tmp_path, capsys):
         path = _write_pkg(
-            tmp_path, "dirty.py", "def f(acc=[]):\n    return acc\n"
+            tmp_path, "dirty.py", "def f(id):\n    return id\n"
         )
         assert main(["lint", "--format", "json", path]) == 1
         payload = json.loads(capsys.readouterr().out)
@@ -58,22 +58,24 @@ class TestLintCommand:
 
     def test_statistics_go_to_stderr(self, tmp_path, capsys):
         path = _write_pkg(
-            tmp_path, "dirty.py", "def f(acc=[]):\n    return acc\n"
+            tmp_path, "dirty.py", "def f(id):\n    return id\n"
         )
         assert main(["lint", "--statistics", path]) == 1
         captured = capsys.readouterr()
-        assert "RL-H001" in captured.err
+        assert "RL-H004" in captured.err
         assert "total" in captured.err
 
     def test_statistics_report_per_pack_timings(self, tmp_path, capsys):
+        # Under a network/ directory so the scoped RL-N001 runs too.
+        (tmp_path / "network").mkdir()
         path = _write_pkg(
-            tmp_path, "dirty.py", "def f(acc=[]):\n    return acc\n"
+            tmp_path, "network/dirty.py", "def f(id):\n    return id\n"
         )
         assert main(["lint", "--statistics", path]) == 1
         err = capsys.readouterr().err
         assert "pack timings:" in err
         timing_section = err.split("pack timings:")[1]
-        # Every registered pack ran and reports a time, the new
+        # Every registered pack ran and reports a time, the one-rule
         # array-semantics pack included.
         for pack in ("RL-N", "RL-C", "RL-H"):
             assert pack in timing_section
@@ -81,7 +83,7 @@ class TestLintCommand:
 
     def test_sarif_format_is_valid_json(self, tmp_path, capsys):
         path = _write_pkg(
-            tmp_path, "dirty.py", "def f(acc=[]):\n    return acc\n"
+            tmp_path, "dirty.py", "def f(id):\n    return id\n"
         )
         assert main(["lint", "--format", "sarif", path]) == 1
         payload = json.loads(capsys.readouterr().out)
@@ -99,44 +101,44 @@ class TestLintCommand:
 
 
 class TestRuleSelection:
-    # Trips RL-H001 (mutable default) and RL-H003 (missing __all__).
-    DIRTY = "def f(acc=[]):\n    return acc\n"
+    # Trips RL-H004 (builtin shadowing) and RL-H003 (missing __all__).
+    DIRTY = "def f(id):\n    return id\n"
 
     def test_select_runs_only_the_named_rule(self, tmp_path, capsys):
         path = _write_pkg(tmp_path, "dirty.py", self.DIRTY)
-        assert main(["lint", "--select", "RL-H001", path]) == 1
+        assert main(["lint", "--select", "RL-H004", path]) == 1
         out = capsys.readouterr().out
-        assert "RL-H001" in out
+        assert "RL-H004" in out
         assert "RL-H003" not in out
 
     def test_select_prefix_expands_to_the_pack(self, tmp_path, capsys):
         path = _write_pkg(tmp_path, "dirty.py", self.DIRTY)
         assert main(["lint", "--select", "RL-H", path]) == 1
         out = capsys.readouterr().out
-        assert "RL-H001" in out
+        assert "RL-H004" in out
         assert "RL-H003" in out
 
     def test_ignore_drops_the_named_rule(self, tmp_path, capsys):
         path = _write_pkg(tmp_path, "dirty.py", self.DIRTY)
         assert main(["lint", "--ignore", "RL-H003", path]) == 1
         out = capsys.readouterr().out
-        assert "RL-H001" in out
+        assert "RL-H004" in out
         assert "RL-H003" not in out
 
     def test_ignore_applies_after_select(self, tmp_path, capsys):
         path = _write_pkg(tmp_path, "dirty.py", self.DIRTY)
         assert (
-            main(["lint", "--select", "RL-H", "--ignore", "RL-H001", path])
+            main(["lint", "--select", "RL-H", "--ignore", "RL-H004", path])
             == 1
         )
         out = capsys.readouterr().out
-        assert "RL-H001" not in out
+        assert "RL-H004" not in out
         assert "RL-H003" in out
 
     def test_selecting_everything_away_is_clean(self, tmp_path, capsys):
         path = _write_pkg(tmp_path, "dirty.py", self.DIRTY)
         assert (
-            main(["lint", "--select", "RL-H001", "--ignore", "RL-H001", path])
+            main(["lint", "--select", "RL-H004", "--ignore", "RL-H004", path])
             == 0
         )
         assert "0 findings" in capsys.readouterr().out
@@ -144,11 +146,11 @@ class TestRuleSelection:
     def test_comma_separated_and_repeated_selectors(self, tmp_path, capsys):
         path = _write_pkg(tmp_path, "dirty.py", self.DIRTY)
         code = main(
-            ["lint", "--select", "RL-H001,RL-H003", "--select", "RL-D", path]
+            ["lint", "--select", "RL-H004,RL-H003", "--select", "RL-D", path]
         )
         assert code == 1
         out = capsys.readouterr().out
-        assert "RL-H001" in out
+        assert "RL-H004" in out
         assert "RL-H003" in out
 
     def test_unknown_selector_exits_two_on_stderr(self, tmp_path, capsys):

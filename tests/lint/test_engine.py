@@ -20,8 +20,8 @@ class TestSuppressionParsing:
         assert sup == {1: {"RL-D001"}}
 
     def test_comma_separated_rules(self):
-        sup = collect_suppressions("x = 1  # reprolint: disable=RL-D001,RL-H002\n")
-        assert sup == {1: {"RL-D001", "RL-H002"}}
+        sup = collect_suppressions("x = 1  # reprolint: disable=RL-D001,RL-H004\n")
+        assert sup == {1: {"RL-D001", "RL-H004"}}
 
     def test_disable_next_targets_following_line(self):
         sup = collect_suppressions("# reprolint: disable-next=RL-P001\nx = 1\n")
@@ -37,9 +37,9 @@ class TestSuppressionParsing:
 
     def test_bracketed_ignore_with_multiple_rules(self):
         sup = collect_suppressions(
-            "x = 1  # reprolint: ignore[RL-D001, RL-H002]\n"
+            "x = 1  # reprolint: ignore[RL-D001, RL-H004]\n"
         )
-        assert sup == {1: {"RL-D001", "RL-H002"}}
+        assert sup == {1: {"RL-D001", "RL-H004"}}
 
     def test_bracketed_ignore_next_targets_following_line(self):
         sup = collect_suppressions("# reprolint: ignore-next[RL-P001]\nx = 1\n")
@@ -62,8 +62,8 @@ class TestSuppressionParsing:
 
     def test_disable_all_suppresses_any_finding(self):
         source = (
-            "def f(acc: list = []):  # reprolint: disable=all\n"
-            "    return acc\n"
+            "def f(id: int):  # reprolint: disable=all\n"
+            "    return id\n"
         )
         findings = lint_source(source, "src/repro/analysis/_mod.py")
         assert findings == []
@@ -83,21 +83,21 @@ class TestEngineBasics:
         assert "RL-D001" in ids
 
     def test_restricted_engine_runs_only_given_rules(self):
-        from repro.lint.rules.hygiene import NoBareExcept
+        from repro.lint.rules.hygiene import NoBuiltinShadowing
 
-        engine = LintEngine(rules=[NoBareExcept])
-        source = "def f(acc=[]):\n    try:\n        pass\n    except:\n        pass\n"
+        engine = LintEngine(rules=[NoBuiltinShadowing])
+        source = "def f(id):\n    return id\n"
         findings = engine.lint_source(source, "src/repro/x.py")
-        assert {f.rule_id for f in findings} == {"RL-H002"}
+        assert {f.rule_id for f in findings} == {"RL-H004"}
 
     def test_lint_paths_walks_directories(self, tmp_path):
         clean = tmp_path / "pkg" / "good.py"
         clean.parent.mkdir()
         clean.write_text("__all__ = []\n")
         dirty = tmp_path / "pkg" / "bad.py"
-        dirty.write_text("def f(acc=[]):\n    return acc\n")
+        dirty.write_text("def f(id):\n    return id\n")
         findings = lint_paths([tmp_path])
-        assert {f.rule_id for f in findings} >= {"RL-H001", "RL-H003"}
+        assert {f.rule_id for f in findings} >= {"RL-H004", "RL-H003"}
         assert all("good.py" not in f.path for f in findings)
 
     def test_lint_paths_missing_target_raises(self):
@@ -107,7 +107,7 @@ class TestEngineBasics:
     def test_pycache_directories_are_skipped(self, tmp_path):
         cache = tmp_path / "__pycache__"
         cache.mkdir()
-        (cache / "junk.py").write_text("def f(acc=[]):\n    return acc\n")
+        (cache / "junk.py").write_text("def f(id):\n    return id\n")
         assert lint_paths([tmp_path]) == []
 
 
@@ -116,7 +116,7 @@ class TestOverlappingTargets:
         pkg = tmp_path / "pkg"
         pkg.mkdir()
         dirty = pkg / "bad.py"
-        dirty.write_text("def f(acc=[]):\n    return acc\n")
+        dirty.write_text("def f(id):\n    return id\n")
         once = lint_paths([pkg])
         twice = lint_paths([pkg, dirty, str(pkg)])
         assert [f.format() for f in twice] == [f.format() for f in once]
@@ -165,7 +165,7 @@ class TestMultiLineSuppression:
             "    return random.uniform(\n"
             "        0.0,\n"
             "        1.0,\n"
-            "    )  # reprolint: disable=RL-H001\n"
+            "    )  # reprolint: disable=RL-H004\n"
         )
         findings = lint_source(source, "src/repro/sim/mod.py")
         assert [f.rule_id for f in findings] == ["RL-D001"]
@@ -203,14 +203,14 @@ class TestRegistry:
         ids = [rule.rule_id for rule in all_rules()]
         assert ids == sorted(ids)
         assert len(ids) == len(set(ids))
-        assert len(ids) == 14
+        assert len(ids) == 13
 
     def test_combined_registry_counts_project_rules(self):
         from repro.lint.registry import all_project_rules
 
         project_ids = [rule.rule_id for rule in all_project_rules()]
         assert project_ids == sorted(project_ids)
-        assert len(project_ids) == 13
+        assert len(project_ids) == 8
         per_file_ids = {rule.rule_id for rule in all_rules()}
         assert per_file_ids.isdisjoint(project_ids)
 

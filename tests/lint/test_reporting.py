@@ -5,7 +5,7 @@ import json
 from repro.lint import lint_source, render_sarif, render_statistics, render_text
 from repro.lint.registry import all_project_rules, all_rules
 
-_DIRTY = "def f(acc=[]):\n    return acc\n"
+_DIRTY = "def f(id):\n    return id\n"
 
 
 def _findings():
@@ -74,16 +74,16 @@ class TestTextAndStatistics:
 
     def test_statistics_aggregate_timings_by_pack(self):
         timings = {
-            "RL-N001": 0.010,
-            "RL-N004": 0.020,
+            "RL-P001": 0.010,
+            "RL-P004": 0.020,
             "RL-C002": 0.001,
-            "RL-H001": 0.002,
+            "RL-H003": 0.002,
         }
         stats = render_statistics(_findings(), timings)
         section = stats.split("pack timings:")[1].splitlines()
         rows = [line.split() for line in section if line]
-        assert [row[0] for row in rows] == ["RL-N", "RL-H", "RL-C"]
-        assert rows[0][1] == "30.0"  # RL-N001 + RL-N004, in ms
+        assert [row[0] for row in rows] == ["RL-P", "RL-H", "RL-C"]
+        assert rows[0][1] == "30.0"  # RL-P001 + RL-P004, in ms
 
     def test_statistics_omit_timing_section_without_timings(self):
         assert "pack timings" not in render_statistics(_findings())

@@ -6,6 +6,7 @@ import pytest
 from repro.lint import lint_source, lint_sources
 
 from tests.lint.fixtures import RULE_FIXTURES
+from tests.lint.fixtures.numerics import NARROWING_PLANTINGS
 
 _BY_ID = {fixture.rule_id: fixture for fixture in RULE_FIXTURES}
 
@@ -197,17 +198,79 @@ class TestHygieneVariants:
 
     def test_multiple_findings_are_sorted_by_line(self):
         source = (
-            "def f(id: int, acc: list = []) -> list:\n"
-            "    try:\n"
-            "        acc.append(id)\n"
-            "    except:\n"
-            "        pass\n"
-            "    return acc\n"
+            "def f(id: int) -> int:\n"
+            "    return id\n"
+            "def g(x: float, type: str) -> bool:\n"
+            "    return x == 0.5\n"
         )
-        findings = lint_source(source, "src/repro/analysis/mod.py")
+        findings = lint_source(source, "src/repro/em/mod.py")
         ids = [f.rule_id for f in findings]
-        assert sorted(ids) == ["RL-H001", "RL-H002", "RL-H003", "RL-H004"]
+        assert sorted(ids) == ["RL-H003", "RL-H004", "RL-H004", "RL-P001"]
         assert [f.line for f in findings] == sorted(f.line for f in findings)
+
+
+class TestNumericsVariants:
+    @pytest.mark.parametrize(
+        "path, source, hazard",
+        NARROWING_PLANTINGS.values(),
+        ids=NARROWING_PLANTINGS.keys(),
+    )
+    def test_planted_narrowing_fires_on_its_line(self, path, source, hazard):
+        line = 1 + next(
+            i for i, text in enumerate(source.splitlines()) if hazard in text
+        )
+        findings = lint_source(source, path)
+        assert [(f.rule_id, f.line) for f in findings] == [("RL-N001", line)]
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            "np.zeros(3, dtype='float32')",
+            "np.zeros(3).astype('int32')",
+            "np.asarray([1, 2], dtype=np.uint16)",
+            "np.arange(3, dtype=numpy.intc)",
+            "np.single(1.5)",
+        ],
+    )
+    def test_narrow_spellings_fire(self, expr):
+        source = (
+            "import numpy\n"
+            "import numpy as np\n"
+            "__all__ = ['make']\n"
+            "def make():\n"
+            f"    return {expr}\n"
+        )
+        findings = lint_source(source, "src/repro/network/mod.py")
+        assert [(f.rule_id, f.line) for f in findings] == [("RL-N001", 5)]
+
+    def test_from_import_of_a_narrow_dtype_fires(self):
+        source = (
+            "from numpy import float32\n"
+            "__all__ = ['make']\n"
+            "def make(x):\n"
+            "    return float32(x)\n"
+        )
+        findings = lint_source(source, "src/repro/twin/mod.py")
+        assert [(f.rule_id, f.line) for f in findings] == [("RL-N001", 4)]
+
+    def test_wide_dtypes_and_lookalike_names_are_clean(self):
+        source = (
+            "import numpy as np\n"
+            "__all__ = ['make']\n"
+            "def make(half, n):\n"
+            "    keys = np.arange(n, dtype=np.int64) // 2\n"
+            "    return np.where(keys > 0, half, 1).astype('float64') + n / 2\n"
+        )
+        assert lint_source(source, "src/repro/core/mod.py") == []
+
+    def test_narrowing_outside_the_bit_for_bit_layers_is_allowed(self):
+        source = (
+            "import numpy as np\n"
+            "__all__ = ['compact']\n"
+            "def compact(x):\n"
+            "    return x.astype(np.float32)\n"
+        )
+        assert lint_source(source, "src/repro/analysis/mod.py") == []
 
 
 class TestConcurrencyVariants:

@@ -7,6 +7,8 @@ same deaths at the same instants, and the historical death-id contract
 (ascending order, each id exactly once per run).
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,29 @@ class TestScalarVectorEquivalence:
                     mirror.consumption_w[:] = net.ledger.consumption_w
                 if net.ledger.alive_count() == 0:
                     break
+
+
+class TestNextDeathTime:
+    def test_infinite_when_no_slot_drains(self):
+        ledger = EnergyLedger(3)
+        for slot in range(3):
+            ledger.init_slot(slot, capacity_j=100.0, initial_frac=1.0)
+        assert ledger.next_death_time() == math.inf
+
+    def test_per_slot_clocks_pair_with_their_own_slot(self):
+        # Slot 0 dies at 0 + 50/1 = 50 s, slot 1 at 10 + 5/1 = 15 s.  A
+        # clock column broadcast against the energy row would pair slot
+        # 0's clock with slot 1's energy and report 5 s.
+        ledger = EnergyLedger(2)
+        ledger.load_arrays(
+            capacity_j=np.full(2, 100.0),
+            energy_j=np.array([50.0, 5.0]),
+            believed_j=np.array([50.0, 5.0]),
+            consumption_w=np.array([1.0, 1.0]),
+            clock=np.array([0.0, 10.0]),
+            alive=np.ones(2, dtype=bool),
+        )
+        assert ledger.next_death_time() == 15.0
 
 
 class TestLoadArrays:

@@ -182,7 +182,7 @@ class TestIndexDtypes:
     def test_same_cell_join_positions_are_int64(self):
         # Regression: the (0, 0) offset used np.arange's platform-int
         # default while every other join path produced int64; composite
-        # key math must stay int64 on every path (RL-N005).
+        # key math must stay int64 on every path.
         rng = make_rng(5)
         pts = rng.uniform(0.0, 50.0, size=(64, 2))
         index = SpatialGridIndex(pts, cell_size=10.0)
